@@ -57,6 +57,13 @@ def _add_baseline_flags(p):
     p.add_argument("--tage-entries", type=int, default=256, help="entries per TAGE table")
 
 
+def _add_q_flag(p):
+    # Parsed (and rejected with a ConfigError) before the command starts.
+    p.add_argument(
+        "--q", type=QuantSpec.parse, default="3.4", help="quantization: 3.4, 3.12, or fp32"
+    )
+
+
 def _sim_config(args):
     return SimConfig(
         history=HistoryConfig(args.gh, args.lh),
@@ -104,7 +111,7 @@ def build_parser():
     _add_baseline_flags(s)
     s.add_argument("--policy", choices=["independent", "relative"], default="relative")
     s.add_argument("--budget-kb", type=float, required=True)
-    s.add_argument("--q", default="3.4", help="quantization: 3.4, 3.12, or fp32")
+    _add_q_flag(s)
     s.add_argument("-o", "--output", required=True, help="hint file (.sbph)")
 
     m = sub.add_parser("simulate", help="simulate a trace, optionally with hints")
@@ -120,7 +127,7 @@ def build_parser():
     _add_baseline_flags(p)
     p.add_argument("--policy", choices=["independent", "relative"], default="relative")
     p.add_argument("--budget-kb", type=float, required=True)
-    p.add_argument("--q", default="3.4")
+    _add_q_flag(p)
     p.add_argument("--min-occurrences", type=int, default=10_000)
     p.add_argument("--out-dir", required=True)
 
@@ -225,7 +232,7 @@ def _cmd_select(args):
         raise ConfigError("models file history lengths disagree with --gh/--lh")
     trace = read_trace(args.trace)
     history = HistoryConfig(gh, lh)
-    qspec = QuantSpec.parse(args.q)
+    qspec = args.q
     datasets = collect_datasets(trace, history, targets=set(models))
     base_report = run(trace, _sim_config(args), correct_from=gh + lh)
     candidates = []
@@ -285,7 +292,7 @@ def _cmd_pipeline(args):
         raise SbpError("no trace files found")
     traces = [read_trace(f) for f in files]
     history = HistoryConfig(args.gh, args.lh)
-    qspec = QuantSpec.parse(args.q)
+    qspec = args.q
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_pipeline(
@@ -383,8 +390,8 @@ _COMMANDS = {
 
 def dispatch(argv):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"sbp: {e}", file=sys.stderr)

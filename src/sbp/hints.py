@@ -9,7 +9,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 
-from .errors import HintFormatError
+from .errors import ConfigError, HintFormatError
 from .sparse_modeling import eval_accuracy, fit
 
 HINT_MAGIC = b"SBPH"
@@ -36,16 +36,18 @@ class QuantSpec:
 
     @classmethod
     def parse(cls, text):
-        """Accepts "3.4", "q3.12", or "fp32" (None = full precision)."""
+        """Accepts "3.4", "3.12" (either with a "q" prefix) or "fp32" (None =
+        full precision); anything else is a ConfigError. The hint file stores
+        only the weight width, so these are the only formats it can represent."""
         t = text.lower().lstrip("q")
-        if t == "fp32":
-            return None
-        i, f = t.split(".")
-        return cls(int(i), int(f))
+        if t not in _SPECS:
+            raise ConfigError(f"unsupported quantization {text!r}: use 3.4, 3.12 or fp32")
+        return _SPECS[t]
 
 
 Q3_4 = QuantSpec(3, 4)
 Q3_12 = QuantSpec(3, 12)
+_SPECS = {"3.4": Q3_4, "3.12": Q3_12, "fp32": None}
 
 
 def _spec_for_width(q):
@@ -87,7 +89,8 @@ def dedup(dataset, lasso_model, config):
     already mixes), groups the refit's non-zero indices by identical feature
     columns, and moves each group's summed weight onto its smallest index.
     Rejected (input returned unchanged) if accuracy drops more than 0.001
-    below the input model's.
+    below the input model's. The result keeps the input's `sufficient` flag:
+    the refit is not searched, so it cannot tell.
     """
     alpha = config.elasticnet_alpha if config.elasticnet_alpha < 1.0 else 0.5
     en = fit(dataset, lasso_model.lam, alpha, config)
@@ -100,7 +103,7 @@ def dedup(dataset, lasso_model, config):
         total = sum(en.weights[j] for j in members)
         if total != 0.0:
             weights[members[0]] = total
-    collapsed = replace(en, weights=weights)
+    collapsed = replace(en, weights=weights, sufficient=lasso_model.sufficient)
     collapsed.accuracy = eval_accuracy(collapsed, dataset)
     if collapsed.accuracy < lasso_model.accuracy - 0.001:
         return lasso_model
@@ -315,6 +318,8 @@ def encode_hintset(hs, path):
         bw.write(0, cfg.p + cfg.q + cfg.nnz * (ib + cfg.q) + cfg.lh)
     assert bw.nbits == storage_bits(cfg)
     phase = hs.phase_id.encode("utf-8")
+    if len(phase) > 0xFFFF:
+        raise HintFormatError(f"phase id is {len(phase)} bytes, the hint file holds at most 65535")
     header = HINT_MAGIC + struct.pack("<HHH", HINT_VERSION, len(hs.hints), len(phase))
     header += phase
     header += struct.pack("<6H", cfg.lh, cfg.gh, cfg.n, cfg.nnz, cfg.q, cfg.p)
@@ -326,18 +331,23 @@ def encode_hintset(hs, path):
 def decode_hintset(path):
     with open(path, "rb") as f:
         data = f.read()
+
+    def take(size, what):
+        nonlocal off
+        if off + size > len(data):
+            raise HintFormatError(f"{path}: truncated {what} at byte offset {off}")
+        off += size
+        return data[off - size : off]
+
     if data[:4] != HINT_MAGIC:
         raise HintFormatError(f"{path}: bad magic {data[:4]!r}")
-    version, n_hints, phase_len = struct.unpack_from("<HHH", data, 4)
+    off = 4
+    version, n_hints, phase_len = struct.unpack("<HHH", take(6, "header"))
     if version != HINT_VERSION:
         raise HintFormatError(f"{path}: unsupported version {version}")
-    off = 10
-    phase_id = data[off : off + phase_len].decode("utf-8")
-    off += phase_len
-    lh, gh, n, nnz, q, p = struct.unpack_from("<6H", data, off)
-    off += 12
-    (payload_bits,) = struct.unpack_from("<I", data, off)
-    off += 4
+    phase_id = take(phase_len, "phase id").decode("utf-8")
+    lh, gh, n, nnz, q, p = struct.unpack("<6H", take(12, "config"))
+    (payload_bits,) = struct.unpack("<I", take(4, "payload size"))
     cfg = SlbiuConfig(lh=lh, gh=gh, n=n, nnz=nnz, q=q, p=p)
     if payload_bits != storage_bits(cfg):
         raise HintFormatError(

@@ -5,7 +5,7 @@ outcome (bit 0 = newest, 1 = taken). Feature vectors lay out the GHR segment
 first, then the LHR segment, with bits mapped to {-1, +1}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class TrainingDataset:
     x: np.ndarray  # (m, gh+lh) int8 in {-1,+1}, GHR segment first
     y: np.ndarray  # (m,) bool
     config: HistoryConfig
-    _xf: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -76,13 +75,6 @@ class TrainingDataset:
     @property
     def taken_rate(self):
         return float(self.y.mean()) if self.m else 0.0
-
-    @property
-    def xf(self):
-        """float32 view of x, cached (solvers share it across lambda probes)."""
-        if self._xf is None:
-            self._xf = self.x.astype(np.float32)
-        return self._xf
 
 
 def collect_datasets(trace, config, targets=None):

@@ -60,10 +60,10 @@ def online_update(model, x, y):
     shrinkage actually applied so the total penalty tracks u. With lam = 0 this
     is plain logistic SGD.
     """
-    xf = x.astype(np.float64)
-    z = model.bias + float(model.weights @ xf)
+    xd = x.astype(np.float64)
+    z = model.bias + float(model.weights @ xd)
     g = 1.0 / (1.0 + np.exp(-z)) - (1.0 if y else 0.0)
-    model.weights -= model.eta * g * xf
+    model.weights -= model.eta * g * xd
     model.bias -= model.eta * g
     model.u += model.eta * model.lam
     if model.lam > 0.0:

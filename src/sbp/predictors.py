@@ -20,6 +20,12 @@ class Prediction:
     latency_cycles: int
 
 
+# The only three outcomes of an SLBIU probe, shared by every call.
+MISS = Prediction(direction=False, hit=False, latency_cycles=BASELINE_LATENCY)
+HIT_TAKEN = Prediction(direction=True, hit=True, latency_cycles=SLBIU_LATENCY)
+HIT_NOT_TAKEN = Prediction(direction=False, hit=True, latency_cycles=SLBIU_LATENCY)
+
+
 def fold(value, width):
     """XOR-fold an arbitrary-width int down to `width` bits."""
     if width <= 0:
@@ -37,7 +43,7 @@ class Slbiu:
 
     def __init__(self, config):
         self.config = config
-        self.entries = {}  # pc -> [hint, lhr int]
+        self.entries = {}  # pc -> [datapath, lhr int]; see _datapath
         self._lmask = (1 << config.lh) - 1
         # Dot product accumulates nnz+1 fixed-point terms of q bits each;
         # ceil(log2(nnz+1)) + q bits suffice.
@@ -49,33 +55,45 @@ class Slbiu:
             raise ConfigError(
                 f"{len(hintset.hints)} hints exceed SLBIU capacity N={self.config.n}"
             )
-        self.entries = {h.pc: [h, 0] for h in hintset.hints}
+        self.entries = {h.pc: [self._datapath(h), 0] for h in hintset.hints}
+
+    def _datapath(self, hint):
+        """(bias, GHR terms, LHR terms) as the adder tree sums them.
+
+        Fixed-point hints become integers in units of 2^-F (exact: their values
+        are fixed-point multiples), and their adder-tree range is checked here,
+        once, over every possible history. Terms are (bit position in the GHR
+        or LHR, weight), in history-index order.
+        """
+        qspec = hint.qspec
+        if qspec is None:
+            bias, terms = hint.intercept, hint.entries
+        else:
+            scale = 1 << qspec.fraction_bits
+            bias = round(hint.intercept * scale)
+            terms = [(j, round(wv * scale)) for j, wv in hint.entries]
+            reach = sum(abs(raw) for _, raw in terms)
+            lim = 1 << (self._sum_bits - 1)
+            if not (-lim <= bias - reach and bias + reach < lim):
+                raise ConfigError(
+                    f"hint for pc {hint.pc:#x} overflows the {self._sum_bits}-bit adder tree"
+                )
+        gh = self.config.gh
+        ghr_terms = tuple((j, wv) for j, wv in terms if j < gh)
+        lhr_terms = tuple((j - gh, wv) for j, wv in terms if j >= gh)
+        return bias, ghr_terms, lhr_terms
 
     def predict(self, pc, ghr):
         entry = self.entries.get(pc)
         if entry is None:
-            return Prediction(direction=False, hit=False, latency_cycles=BASELINE_LATENCY)
-        hint, lhr = entry
-        gh = self.config.gh
-        qspec = hint.qspec
-        if qspec is not None:
-            # Fixed-point datapath: integer units of 2^-F.
-            scale = 1 << qspec.fraction_bits
-            total = round(hint.intercept * scale)
-            for j, wv in hint.entries:
-                bit = (ghr >> j) & 1 if j < gh else (lhr >> (j - gh)) & 1
-                raw = round(wv * scale)
-                total += raw if bit else -raw  # sign flip for not-taken bits
-            lim = 1 << (self._sum_bits - 1)
-            assert -lim <= total < lim, "adder tree overflow"
-            taken = total >= 0
-        else:
-            total = hint.intercept
-            for j, wv in hint.entries:
-                bit = (ghr >> j) & 1 if j < gh else (lhr >> (j - gh)) & 1
-                total += wv if bit else -wv
-            taken = total >= 0.0
-        return Prediction(direction=taken, hit=True, latency_cycles=SLBIU_LATENCY)
+            return MISS
+        (total, ghr_terms, lhr_terms), lhr = entry
+        # sign flip for not-taken bits
+        for j, wv in ghr_terms:
+            total += wv if (ghr >> j) & 1 else -wv
+        for j, wv in lhr_terms:
+            total += wv if (lhr >> j) & 1 else -wv
+        return HIT_TAKEN if total >= 0 else HIT_NOT_TAKEN
 
     def update(self, pc, taken):
         """Shift the outcome into the entry's LHR; weights never change."""

@@ -6,6 +6,13 @@ and the global curvature bound 1/4 serves as the per-coordinate Hessian.
 Each outer iteration re-centers the majorizer at the current point (gradient
 recomputed exactly), so the true objective is non-increasing across outer
 iterations; this is asserted in debug mode.
+
+Feature layout: datasets store their features as a row-major int8 matrix.
+Each `fit` call builds one column-major float64 copy of it, so that the
+gradient `X.T @ r` and every coordinate step read one contiguous float64
+column. Scores (`b + x @ w`) are computed from the int8 matrix, not from the
+copy: a matrix-vector product over the column-major copy sums in another
+order and can differ in the last bits.
 """
 
 import math
@@ -99,7 +106,7 @@ def fit(dataset, lam, alpha, config):
     m = dataset.m
     if m < 1:
         raise ValueError("fit requires at least one sample")
-    X = dataset.xf
+    X = np.asfortranarray(dataset.x, dtype=np.float64)
     y = dataset.y.astype(np.float64)
     l = X.shape[1]
     h = CURVATURE
@@ -155,7 +162,7 @@ def fit(dataset, lam, alpha, config):
             converged = True
             break
     w[np.abs(w) < 10.0 * tol] = 0.0
-    scores = b + X @ w
+    scores = b + dataset.x @ w
     accuracy = float(np.mean((scores >= 0) == dataset.y))
     weights = {int(j): float(w[j]) for j in np.flatnonzero(w)}
     return SparseModel(
@@ -200,7 +207,7 @@ def lambda_search(dataset, config):
 def predictions(model, dataset):
     """Sign-rule directions (sum >= 0 -> taken) for every sample."""
     w = model.weight_vector(dataset.x.shape[1])
-    scores = model.bias + dataset.xf @ w
+    scores = model.bias + dataset.x @ w
     return scores >= 0
 
 
@@ -232,9 +239,9 @@ def kkt_violation(model, dataset, alpha=1.0):
     """
     l = dataset.x.shape[1]
     w = model.weight_vector(l)
-    z = model.bias + dataset.xf @ w
+    z = model.bias + dataset.x @ w
     r = _sigmoid(z) - dataset.y.astype(np.float64)
-    g = np.asarray(dataset.xf.T @ r, dtype=np.float64) / dataset.m
+    g = (dataset.x.T @ r) / dataset.m
     g += model.lam * (1.0 - alpha) * w
     l1 = model.lam * alpha
     zero = w == 0

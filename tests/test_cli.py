@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sbp.cli import build_parser, dispatch
-from sbp.hints import decode_hintset
+from sbp.hints import decode_hintset, empty_hintset, encode_hintset
 from sbp.trace_io import PC_B, read_trace
 
 
@@ -106,6 +106,33 @@ def test_exit_code_config_error(tmp_path, corr_trace):
     assert run_cli("select", "--models", models, "--trace", corr_trace,
                    "--gh", 8, "--lh", 4, "--budget-kb", 1,
                    "-o", tmp_path / "h.sbph") == 2
+
+
+def test_truncated_hint_file_is_a_runtime_error(tmp_path, capsys):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--s", 3, "--len", 300, "-o", trace) == 0
+    hints = tmp_path / "h.sbph"
+    encode_hintset(empty_hintset(4, 16, 8, phase_id="loop"), hints)
+    hints.write_bytes(hints.read_bytes()[:20])
+    capsys.readouterr()
+    assert run_cli("simulate", "--trace", trace, "--gh", 16, "--lh", 4,
+                   "--hints", hints) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sbp: ") and "truncated" in err
+
+
+@pytest.mark.parametrize("q", ["2.5", "4.4"])
+def test_unsupported_q_rejected_before_any_work(tmp_path, capsys, q):
+    # the inputs do not exist: exit 2 (not 1) shows that --q was checked first
+    missing = tmp_path / "missing"
+    assert run_cli("select", "--models", missing, "--trace", missing,
+                   "--budget-kb", 1, "--q", q, "-o", tmp_path / "h.sbph") == 2
+    assert capsys.readouterr().err.startswith("sbp: unsupported quantization")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--traces", missing, "--budget-kb", 1, "--q", q,
+                   "--out-dir", out) == 2
+    assert capsys.readouterr().err.startswith("sbp: unsupported quantization")
+    assert not out.exists()
 
 
 def test_parser_rejects_unknown_command(capsys):

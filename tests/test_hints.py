@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from sbp.errors import HintFormatError
-from sbp.history import HistoryConfig, collect_dataset
+from sbp.errors import ConfigError, HintFormatError
+from sbp.history import HistoryConfig, TrainingDataset, collect_dataset
 from sbp.hints import (
     Q3_4,
     Q3_12,
@@ -36,6 +36,13 @@ def test_quant_spec_parse():
     assert Q3_4.q == 8 and Q3_12.q == 16
     assert Q3_4.max_value == 7.9375
     assert Q3_4.min_value == -8.0
+
+
+@pytest.mark.parametrize("text", ["2.5", "4.4", "3.5", "3", "fp16", ""])
+def test_quant_spec_parse_rejects_unsupported(text):
+    # the hint file stores only the weight width: Q2.5 would read back as Q3.4
+    with pytest.raises(ConfigError):
+        QuantSpec.parse(text)
 
 
 def test_quantize_value_examples():
@@ -100,6 +107,19 @@ def test_dedup_preserves_elasticnet_predictions():
     en = fit(ds, lasso.lam, 0.5, cfg)
     dd = dedup(ds, lasso, cfg)
     assert np.array_equal(predictions(dd, ds), predictions(en, ds))
+
+
+def test_dedup_keeps_insufficient_flag():
+    rng = random.Random(0)
+    x = np.array([[rng.choice((-1, 1)) for _ in range(8)] for _ in range(2000)], dtype=np.int8)
+    y = np.array([rng.random() < 0.5 for _ in range(2000)], dtype=bool)
+    ds = TrainingDataset(1, x, y, HistoryConfig(gh=8, lh=0))
+    cfg = SolverConfig()
+    lasso = lambda_search(ds, cfg)
+    assert not lasso.sufficient
+    dd = dedup(ds, lasso, cfg)
+    assert dd is not lasso  # the refit was accepted
+    assert not dd.sufficient
 
 
 def test_score_policies():
@@ -215,6 +235,23 @@ def test_decode_rejects_corruption(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(HintFormatError):
         decode_hintset(path)
+
+
+def test_decode_rejects_every_truncation(tmp_path):
+    cfg = SlbiuConfig(lh=4, gh=8, n=2, nnz=1, q=8)
+    path = tmp_path / "h.sbph"
+    encode_hintset(HintSet("ph", cfg, [SparsityHint(0x40, 0.5, [(3, -1.0)], Q3_4)]), path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.sbph"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(HintFormatError):
+            decode_hintset(cut)
+
+
+def test_encode_rejects_oversized_phase_id(tmp_path):
+    with pytest.raises(HintFormatError):
+        encode_hintset(empty_hintset(4, 8, 8, phase_id="p" * 65536), tmp_path / "h.sbph")
 
 
 def test_hint_from_model_orders_entries():

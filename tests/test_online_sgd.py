@@ -31,9 +31,9 @@ def test_zero_lambda_is_plain_sgd():
     b_ref = 0.0
     for x, y in random_stream(300, 6, seed=1):
         online_update(model, x, y)
-        xf = x.astype(np.float64)
-        g = 1.0 / (1.0 + math.exp(-(b_ref + w_ref @ xf))) - (1.0 if y else 0.0)
-        w_ref -= 0.1 * g * xf
+        xd = x.astype(np.float64)
+        g = 1.0 / (1.0 + math.exp(-(b_ref + w_ref @ xd))) - (1.0 if y else 0.0)
+        w_ref -= 0.1 * g * xd
         b_ref -= 0.1 * g
         assert np.max(np.abs(model.weights - w_ref)) <= 1e-12
         assert abs(model.bias - b_ref) <= 1e-12

@@ -4,6 +4,9 @@ from sbp.errors import ConfigError
 from sbp.hints import Q3_4, HintSet, SlbiuConfig, SparsityHint
 from sbp.predictors import (
     BASELINE_LATENCY,
+    HIT_NOT_TAKEN,
+    HIT_TAKEN,
+    MISS,
     SLBIU_LATENCY,
     Gshare,
     Slbiu,
@@ -87,9 +90,40 @@ def test_slbiu_adder_width_covers_extremes():
     # overflow the q + ceil(log2(nnz+1)) adder
     entries = [(j, -8.0 if j % 2 else 7.9375) for j in range(4)]
     hint = SparsityHint(0x42, -8.0, entries, Q3_4)
-    unit = make_slbiu([hint], nnz=4)
-    for ghr in (0b0000, 0b1111, 0b0101):
-        unit.predict(0x42, ghr)  # internal overflow assert must hold
+    unit = make_slbiu([hint], nnz=4)  # load checks the adder range
+    assert unit.predict(0x42, 0b0101).direction is True  # -8 + 7.9375 + 8 + 7.9375 + 8
+    assert unit.predict(0x42, 0b1010).direction is False  # -8 - 7.9375 - 8 - 7.9375 - 8
+
+
+def test_slbiu_load_rejects_adder_overflow():
+    # 5.0 + 4 * 7.9375 = 36.75 fits the 11-bit adder of an nnz cap of 4
+    # (limit 64.0) but not the 9-bit adder of an nnz cap of 1 (limit 16.0)
+    hint = SparsityHint(0x42, 5.0, [(j, 7.9375) for j in range(4)], Q3_4)
+    make_slbiu([hint], nnz=4)
+    unit = Slbiu(SlbiuConfig(lh=4, gh=8, n=1, nnz=1, q=8))
+    with pytest.raises(ConfigError):
+        unit.load(HintSet("", SlbiuConfig(lh=4, gh=8, n=1, nnz=4, q=8), [hint]))
+
+
+def test_slbiu_predictions_are_shared_constants():
+    unit = make_slbiu([SparsityHint(0x42, 0.0, [(0, 1.0)], Q3_4)])
+    assert unit.predict(0x99, 0) is MISS
+    assert unit.predict(0x42, 0b1) is HIT_TAKEN
+    assert unit.predict(0x42, 0b0) is HIT_NOT_TAKEN
+    with pytest.raises(AttributeError):
+        MISS.hit = True  # frozen
+
+
+def test_slbiu_fp32_global_and_local_terms():
+    # index 1 is GHR bit 1, index 9 is LHR bit 1
+    hint = SparsityHint(0x42, -0.25, [(1, 0.5), (9, 0.75)], None)
+    unit = make_slbiu([hint], lh=4, gh=8, q=32)
+    assert unit.predict(0x42, 0b00).direction is False  # -0.25 - 0.5 - 0.75
+    assert unit.predict(0x42, 0b10).direction is False  # -0.25 + 0.5 - 0.75
+    unit.update(0x42, True)
+    unit.update(0x42, False)  # LHR = 0b10
+    assert unit.predict(0x42, 0b00).direction is True  # -0.25 - 0.5 + 0.75 = 0
+    assert unit.predict(0x42, 0b10).direction is True  # -0.25 + 0.5 + 0.75
 
 
 def test_gshare_learns_and_suppresses():

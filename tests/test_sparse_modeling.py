@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sbp.sparse_modeling import (
     lambda_search,
     objective,
     parse_model,
+    predictions,
     screen,
 )
 from sbp.trace_io import PC_B, SyntheticScenario, gen_correlated
@@ -143,3 +146,38 @@ def test_solver_config_validation():
         SolverConfig(elasticnet_alpha=1.5)
     with pytest.raises(ValueError):
         fit(make_dataset(np.zeros((0, 3), dtype=np.int8), []), 0.1, 1.0, SolverConfig())
+
+
+def test_feature_order_does_not_change_models():
+    # fit builds its own column-major copy of the features; the caller's
+    # memory layout must not change a single bit of the result
+    ds = bernoulli_dataset(1500, 8, lambda row: row[1] == 1 or row[5] == -1, seed=9)
+    ds_f = make_dataset(np.asfortranarray(ds.x), ds.y)
+    assert ds_f.x.flags.f_contiguous and not ds_f.x.flags.c_contiguous
+    cfg = SolverConfig()
+    for alpha in (1.0, 0.5):
+        assert fit(ds, 0.01, alpha, cfg) == fit(ds_f, 0.01, alpha, cfg)
+    assert lambda_search(ds, cfg) == lambda_search(ds_f, cfg)
+
+
+def test_predictions_are_float_scores_of_int8_features():
+    ds = bernoulli_dataset(400, 7, lambda row: row[0] + row[3] - row[6] > 0, seed=10)
+    model = fit(ds, lam=0.005, alpha=1.0, config=SolverConfig())
+    assert model.nnz > 0
+    w = model.weight_vector(7)
+    expect = model.bias + ds.x.astype(np.float64) @ w >= 0
+    assert np.array_equal(predictions(model, ds), expect)
+
+
+def test_no_float32_feature_cache():
+    ds = bernoulli_dataset(10, 3, lambda row: True)
+    assert not hasattr(ds, "xf")
+    root = Path(__file__).resolve().parent.parent
+    pattern = re.compile(r"\b_?xf\b")
+    files = [*root.glob("src/sbp/*.py"), *root.glob("tests/*.py")]
+    stale = [
+        str(f.relative_to(root))
+        for f in files
+        if f.resolve() != Path(__file__).resolve() and pattern.search(f.read_text())
+    ]
+    assert stale == []
