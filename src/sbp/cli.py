@@ -11,15 +11,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, SbpError
 from .history import HistoryConfig, collect_datasets
-from .hints import (
-    QuantSpec,
-    ScoredCandidate,
-    decode_hintset,
-    dedup,
-    encode_hintset,
-    quantize,
-    select,
-)
+from .hints import QuantSpec, decode_hintset, encode_hintset
 from .predictors import TageLiteConfig
 from .simulator import (
     SimConfig,
@@ -27,17 +19,11 @@ from .simulator import (
     report_scurve,
     run,
     run_pipeline,
+    select_hints,
+    train_models,
 )
 from .online_sgd import OnlineConfig, run_online
-from .sparse_modeling import (
-    BranchScreen,
-    SolverConfig,
-    correct_count,
-    dump_model,
-    lambda_search,
-    parse_model,
-    screen,
-)
+from .sparse_modeling import BranchScreen, SolverConfig, SparseModel, dump_model
 from .trace_io import SyntheticScenario, generate, read_trace, write_trace
 
 
@@ -81,7 +67,6 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"sbp {__version__}")
     parser.add_argument("--verbose", action="store_true", help="diagnostics to stderr")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap (pipeline)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic trace")
@@ -168,25 +153,12 @@ def _cmd_gen(args):
     return 0
 
 
-def _train_models(trace, history, screen_cfg, solver):
-    datasets = collect_datasets(trace, history)
-    models = {}
-    for pc in sorted(datasets):
-        ds = datasets[pc]
-        if not screen(ds, screen_cfg):
-            continue
-        model = lambda_search(ds, solver)
-        model = dedup(ds, model, solver)
-        models[pc] = (model, ds)
-    return models
-
-
 def _cmd_train(args):
     trace = read_trace(args.trace)
     history = HistoryConfig(args.gh, args.lh)
     screen_cfg = BranchScreen(min_occurrences=args.min_occurrences)
     solver = SolverConfig(elasticnet_alpha=args.alpha)
-    models = _train_models(trace, history, screen_cfg, solver)
+    models = train_models(trace, history, screen_cfg, solver)
     payload = {
         str(pc): {
             "bias": model.bias,
@@ -209,8 +181,6 @@ def _cmd_train(args):
 
 
 def _load_models_json(path):
-    from .sparse_modeling import SparseModel
-
     data = json.loads(Path(path).read_text())
     models = {}
     for pc_s, m in data["models"].items():
@@ -232,31 +202,11 @@ def _cmd_select(args):
         raise ConfigError("models file history lengths disagree with --gh/--lh")
     trace = read_trace(args.trace)
     history = HistoryConfig(gh, lh)
-    qspec = args.q
     datasets = collect_datasets(trace, history, targets=set(models))
-    base_report = run(trace, _sim_config(args), correct_from=gh + lh)
-    candidates = []
-    for pc in sorted(models):
-        if pc not in datasets:
-            continue
-        model = quantize(models[pc], qspec) if qspec is not None else models[pc]
-        candidates.append(
-            ScoredCandidate(
-                model=model,
-                offline_correct=correct_count(model, datasets[pc]),
-                primary_correct=base_report.per_branch[pc].correct,
-            )
-        )
-    budget_bits = int(args.budget_kb * 8192)
-    hs, chosen = select(
-        candidates,
-        args.policy,
-        budget_bits,
-        p=64,
-        q=qspec.q if qspec else 32,
-        lh=lh,
-        gh=gh,
-        phase_id=trace.phase_id,
+    trained = {pc: (models[pc], datasets[pc]) for pc in sorted(models) if pc in datasets}
+    hs, chosen, _base = select_hints(
+        trace, trained, history, _sim_config(args), args.q, args.policy,
+        int(args.budget_kb * 8192),
     )
     encode_hintset(hs, args.output)
     print(f"selected (N, nnz) = {chosen}, hints = {len(hs.hints)}", file=sys.stderr)
@@ -292,14 +242,13 @@ def _cmd_pipeline(args):
         raise SbpError("no trace files found")
     traces = [read_trace(f) for f in files]
     history = HistoryConfig(args.gh, args.lh)
-    qspec = args.q
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_pipeline(
         traces,
         budget_bits=int(args.budget_kb * 8192),
         policy=args.policy,
-        qspec=qspec,
+        qspec=args.q,
         history=history,
         sim_config=_sim_config(args),
         screen_cfg=BranchScreen(min_occurrences=args.min_occurrences),
@@ -350,17 +299,32 @@ def _cmd_online(args):
     return 0
 
 
-def _cmd_report(args):
-    entries = []
-    baselines = args.baseline_reports or []
-    for i, path in enumerate(args.scurve):
+def _mpki_by_phase(paths, what):
+    """{phase_id: (report, mpki)} of report JSON files; a phase_id may occur once."""
+    out = {}
+    for path in paths:
         data = json.loads(Path(path).read_text())
-        coupled = data["mpki"]
-        if i < len(baselines):
-            base = json.loads(Path(baselines[i]).read_text())["mpki"]
-        else:
-            base = coupled
-        entries.append((data.get("phase_id") or Path(path).stem, base, coupled))
+        phase = data.get("phase_id")
+        if phase in out:
+            raise SbpError(f"{path}: {what} phase_id {phase!r} repeats {out[phase][0]}")
+        out[phase] = (path, data["mpki"])
+    return out
+
+
+def _cmd_report(args):
+    """S-curve rows pair each coupled report with the baseline report of the
+    same phase_id; without --baseline-reports the coupled MPKI stands in."""
+    entries = []
+    if args.baseline_reports:
+        baselines = _mpki_by_phase(args.baseline_reports, "baseline")
+        for phase, (path, coupled) in _mpki_by_phase(args.scurve, "coupled").items():
+            if phase not in baselines:
+                raise SbpError(f"{path}: no baseline report has phase_id {phase!r}")
+            entries.append((phase or Path(path).stem, baselines[phase][1], coupled))
+    else:
+        for path in args.scurve:
+            data = json.loads(Path(path).read_text())
+            entries.append((data.get("phase_id") or Path(path).stem, data["mpki"], data["mpki"]))
     table = report_scurve(entries)
     csv = render_scurve_csv(table)
     if args.output:

@@ -15,6 +15,7 @@ from .sparse_modeling import eval_accuracy, fit
 HINT_MAGIC = b"SBPH"
 HINT_VERSION = 1
 FP32_WIDTH = 32  # q value meaning "unquantized float32 weights"
+PC_BITS = 64  # branch PC width (p) of every hint set the framework builds
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,7 @@ class SlbiuConfig:
     n: int  # max hints (N)
     nnz: int  # max non-zero weights per hint
     q: int  # weight bit-width
-    p: int = 64  # branch PC bit-width
-
-    @property
-    def index_bits(self):
-        return max(self.lh + self.gh - 1, 1).bit_length() if self.lh + self.gh > 1 else 0
+    p: int = PC_BITS  # branch PC bit-width
 
 
 def index_bits(lh, gh):
@@ -182,7 +179,7 @@ class HintSet:
                 raise ValueError("hint exceeds the nnz cap")
 
 
-def empty_hintset(lh, gh, q, p=64, phase_id=""):
+def empty_hintset(lh, gh, q, p=PC_BITS, phase_id=""):
     return HintSet(phase_id, SlbiuConfig(lh=lh, gh=gh, n=0, nnz=0, q=q, p=p), [])
 
 

@@ -1,13 +1,17 @@
-"""Global/local branch history tracking and training-dataset collection.
+"""Branch history and training-dataset collection.
 
-Histories are kept as Python ints with bit i holding the (i+1)-th most recent
-outcome (bit 0 = newest, 1 = taken). Feature vectors lay out the GHR segment
-first, then the LHR segment, with bits mapped to {-1, +1}.
+A sample is the feature row of one branch record, read before the branch
+retires: the GHR segment first (column j is the outcome of the record j+1
+places back), then the LHR segment (column j is the outcome of the same PC's
+(j+1)-th previous occurrence, not taken while that occurrence does not exist),
+with outcomes mapped to {-1, +1} (taken = +1). Each PC's rows are gathered
+from the trace's outcome column, not replayed record by record.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -25,7 +29,9 @@ class HistoryConfig:
 
 
 def ints_to_pm1(values, nbits):
-    """Vectorized: list of history ints -> (len(values), nbits) int8 matrix in {-1,+1}."""
+    """Vectorized: list of history ints -> (len(values), nbits) int8 matrix in {-1,+1}.
+
+    Bit i of a history int (i = 0 newest, 1 = taken) becomes column i."""
     m = len(values)
     if nbits == 0:
         return np.zeros((m, 0), dtype=np.int8)
@@ -33,32 +39,7 @@ def ints_to_pm1(values, nbits):
     raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, nbytes)
     bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :nbits]
-    return (bits.astype(np.int8) << 1) - 1
-
-
-class HistoryState:
-    """Shift-register GHR plus an unbounded per-PC LHR map (profiling side)."""
-
-    def __init__(self, config):
-        self.config = config
-        self.ghr = 0
-        self.lhr_map = {}
-        self._gmask = (1 << config.gh) - 1
-        self._lmask = (1 << config.lh) - 1
-
-    def update(self, pc, taken):
-        bit = 1 if taken else 0
-        self.ghr = ((self.ghr << 1) | bit) & self._gmask
-        self.lhr_map[pc] = ((self.lhr_map.get(pc, 0) << 1) | bit) & self._lmask
-
-    def lhr(self, pc):
-        return self.lhr_map.get(pc, 0)
-
-    def features(self, pc):
-        """Current GHR-then-LHR feature vector for pc, entries in {-1, +1}."""
-        g = ints_to_pm1([self.ghr], self.config.gh)
-        l = ints_to_pm1([self.lhr(pc)], self.config.lh)
-        return np.concatenate([g[0], l[0]])
+    return bits.astype(np.int8) * 2 - 1
 
 
 @dataclass
@@ -77,39 +58,53 @@ class TrainingDataset:
         return float(self.y.mean()) if self.m else 0.0
 
 
-def collect_datasets(trace, config, targets=None):
-    """Replay a trace and collect (features-before-update, outcome) samples.
+def iter_datasets(trace, config, targets=None):
+    """Yield one TrainingDataset per PC with samples after warmup, in the
+    order of each PC's first post-warmup record.
 
-    Samples start after the warmup point of gh+lh retired branch records.
-    Returns {pc: TrainingDataset} for every target seen after warmup
-    (targets=None collects every PC).
+    Samples start after the warmup point of gh+lh retired branch records
+    (targets=None collects every PC); each PC's rows are in trace order.
     """
-    warmup = config.gh + config.lh
-    gmask = (1 << config.gh) - 1
-    lmask = (1 << config.lh) - 1
-    ghr = 0
-    lhr = {}
-    raw = {}  # pc -> (ghr ints, lhr ints, outcomes)
-    for i, rec in enumerate(trace.records):
-        pc = rec.pc
-        taken = rec.taken
-        if i >= warmup and (targets is None or pc in targets):
-            entry = raw.get(pc)
-            if entry is None:
-                entry = raw[pc] = ([], [], [])
-            entry[0].append(ghr)
-            entry[1].append(lhr.get(pc, 0))
-            entry[2].append(taken)
-        bit = 1 if taken else 0
-        ghr = ((ghr << 1) | bit) & gmask
-        lhr[pc] = ((lhr.get(pc, 0) << 1) | bit) & lmask
-    out = {}
-    for pc, (ghrs, lhrs, ys) in raw.items():
-        x = np.concatenate(
-            [ints_to_pm1(ghrs, config.gh), ints_to_pm1(lhrs, config.lh)], axis=1
-        )
-        out[pc] = TrainingDataset(pc, x, np.array(ys, dtype=bool), config)
-    return out
+    gh, lh = config.gh, config.lh
+    warmup = gh + lh
+    records = trace.records
+    n = len(records)
+    if n <= warmup:
+        return
+    pc_ids = {}  # pc -> dense id, in order of first occurrence
+    ids = np.fromiter(
+        (pc_ids.setdefault(r.pc, len(pc_ids)) for r in records), dtype=np.int32, count=n
+    )
+    pm1 = np.fromiter((r.taken for r in records), dtype=bool, count=n).view(np.int8) * 2 - 1
+    order = np.argsort(ids, kind="stable")  # positions grouped by id, ascending within
+    starts = np.searchsorted(ids, np.arange(1, len(pc_ids), dtype=ids.dtype), sorter=order)
+    per_pc = np.split(order, starts)
+    del ids
+    groups = []  # (first sampled position, pc, positions, first sampled occurrence)
+    for pc, positions in zip(pc_ids, per_pc):
+        k0 = int(np.searchsorted(positions, warmup))
+        if k0 < len(positions) and (targets is None or pc in targets):
+            groups.append((int(positions[k0]), pc, positions, k0))
+    groups.sort(key=lambda g: g[0])
+    for _first, pc, positions, k0 in groups:
+        rows = positions[k0:]
+        x = np.empty((len(rows), warmup), dtype=np.int8)
+        # GHR column j of record i is record i-1-j's outcome; i >= warmup >= gh
+        # keeps the index in range. Gathered column by column: one (rows x gh)
+        # fancy index would allocate a temporary as large as the segment.
+        for j in range(gh):
+            x[:, j] = pm1[rows - (j + 1)]
+        # Occurrence k's LHR reads the PC's outcomes k-1, k-2, ..., with lh
+        # not-taken entries standing in before its first occurrence.
+        local = np.concatenate([np.full(lh, -1, dtype=np.int8), pm1[positions]])
+        x[:, gh:] = sliding_window_view(local, lh)[k0 : len(positions), ::-1]
+        yield TrainingDataset(pc, x, pm1[rows] > 0, config)
+
+
+def collect_datasets(trace, config, targets=None):
+    """{pc: TrainingDataset} of (features before update, outcome) samples for
+    every target seen after warmup; see iter_datasets."""
+    return dict((ds.target_pc, ds) for ds in iter_datasets(trace, config, targets))
 
 
 def collect_dataset(trace, config, target_pc):

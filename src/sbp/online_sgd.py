@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .history import ints_to_pm1
+from .history import iter_datasets
 
 
 @dataclass
@@ -99,56 +99,31 @@ class OnlineResult:
 
 
 def run_online(trace, history, target_pcs=None, config=None):
-    """Replay a trace, predicting each target occurrence before updating its
-    per-branch online model. Models are created at the first post-warmup
-    occurrence; nnz is sampled (and lambda adapted) every adaptation_interval
-    updates. Returns {pc: OnlineResult}."""
+    """Predict each post-warmup occurrence of every target before updating its
+    per-branch online model. Models see their own branch's samples in trace
+    order, so the branches are replayed one after another; nnz is sampled (and
+    lambda adapted) every adaptation_interval updates. Returns {pc:
+    OnlineResult} in the order of each branch's first post-warmup occurrence."""
     config = config or OnlineConfig()
-    warmup = history.gh + history.lh
-    l = history.l
-    gmask = (1 << history.gh) - 1
-    lmask = (1 << history.lh) - 1
-    ghr = 0
-    lhr = {}
-    models = {}
-    misp = {}
-    occ = {}
-    samples = {}
-    for i, rec in enumerate(trace.records):
-        pc = rec.pc
-        taken = rec.taken
-        if i >= warmup and (target_pcs is None or pc in target_pcs):
-            model = models.get(pc)
-            if model is None:
-                model = models[pc] = OnlineModel.fresh(pc, l, config)
-                misp[pc] = 0
-                occ[pc] = 0
-                samples[pc] = []
-            x = np.concatenate(
-                [
-                    ints_to_pm1([ghr], history.gh)[0],
-                    ints_to_pm1([lhr.get(pc, 0)], history.lh)[0],
-                ]
-            )
-            occ[pc] += 1
+    results = {}
+    for ds in iter_datasets(trace, history, target_pcs):
+        model = OnlineModel.fresh(ds.target_pc, history.l, config)
+        mispredictions = 0
+        samples = []
+        for x, taken in zip(ds.x, ds.y.tolist()):
             if online_predict(model, x) != taken:
-                misp[pc] += 1
+                mispredictions += 1
             online_update(model, x, taken)
             if model.update_count % config.adaptation_interval == 0:
-                samples[pc].append(model.nnz)
+                samples.append(model.nnz)
                 adapt_lambda(model, config)
-        bit = 1 if taken else 0
-        ghr = ((ghr << 1) | bit) & gmask
-        lhr[pc] = ((lhr.get(pc, 0) << 1) | bit) & lmask
-    results = {}
-    for pc, model in models.items():
-        ss = samples[pc] or [model.nnz]
-        results[pc] = OnlineResult(
-            pc=pc,
-            occurrences=occ[pc],
-            mispredictions=misp[pc],
-            nnz_avg=sum(ss) / len(ss),
-            nnz_samples=ss,
+        samples = samples or [model.nnz]
+        results[ds.target_pc] = OnlineResult(
+            pc=ds.target_pc,
+            occurrences=ds.m,
+            mispredictions=mispredictions,
+            nnz_avg=sum(samples) / len(samples),
+            nnz_samples=samples,
             final_lambda=model.lam,
         )
     return results

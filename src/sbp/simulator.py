@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .history import HistoryConfig, collect_datasets
-from .hints import ScoredCandidate, dedup, encode_hintset, quantize, select
+from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, encode_hintset, quantize, select
 from .predictors import Gshare, Slbiu, TageLite, TageLiteConfig
 from .sparse_modeling import (
     BranchScreen,
@@ -161,6 +161,54 @@ class PipelineResult:
     hint_path: str = ""
 
 
+def train_models(trace, history, screen_cfg, solver):
+    """Collect every branch's dataset, keep the screened ones, and train each
+    with lambda_search followed by dedup. Returns {pc: (model, dataset)} in
+    pc order."""
+    datasets = collect_datasets(trace, history)
+    trained = {}
+    for pc in sorted(datasets):
+        ds = datasets[pc]
+        if screen(ds, screen_cfg):
+            model = dedup(ds, lambda_search(ds, solver), solver)
+            trained[pc] = (model, ds)
+    return trained
+
+
+def select_hints(trace, trained, history, sim_config, qspec, policy, budget_bits):
+    """Score trained models against the primary predictor and select hints.
+
+    trained: {pc: (model, dataset)} for branches of `trace`, in pc order.
+    Runs the baseline alone, counting its correct predictions from the end of
+    warmup, quantizes each model (qspec None keeps fp32 weights), scores it
+    against the baseline on its dataset, and selects under the budget.
+    Returns (hintset, (N, nnz), baseline report).
+    """
+    base_report = run(trace, sim_config, correct_from=history.gh + history.lh)
+    candidates = []
+    for pc, (model, ds) in trained.items():
+        if qspec is not None:
+            model = quantize(model, qspec)
+        candidates.append(
+            ScoredCandidate(
+                model=model,
+                offline_correct=correct_count(model, ds),
+                primary_correct=base_report.per_branch[pc].correct,
+            )
+        )
+    hintset, chosen = select(
+        candidates,
+        policy,
+        budget_bits,
+        p=PC_BITS,
+        q=FP32_WIDTH if qspec is None else qspec.q,
+        lh=history.lh,
+        gh=history.gh,
+        phase_id=trace.phase_id,
+    )
+    return hintset, chosen, base_report
+
+
 def run_pipeline(
     traces,
     budget_bits,
@@ -172,45 +220,19 @@ def run_pipeline(
     screen_cfg=None,
     out_dir=None,
 ):
-    """Full offline flow per trace/phase: collect datasets for screened
-    branches, lambda-search + dedup (+ quantize), score against the primary
-    predictor, select under the budget, then run the coupled simulation with
-    that phase's hints."""
+    """Full offline flow per trace/phase: train the screened branches
+    (train_models), score and select hints under the budget (select_hints),
+    then run the coupled simulation with that phase's hints."""
     if not traces:
         raise ValueError("need at least one trace")
     solver = solver or SolverConfig()
     screen_cfg = screen_cfg or BranchScreen()
     sim_config = sim_config or SimConfig(history=history)
-    q = qspec.q if qspec is not None else 32
-    warmup = history.gh + history.lh
     results = []
     for trace in traces:
-        datasets = collect_datasets(trace, history)
-        screened = {pc: ds for pc, ds in datasets.items() if screen(ds, screen_cfg)}
-        base_report = run(trace, sim_config, correct_from=warmup)
-        candidates = []
-        for pc in sorted(screened):
-            ds = screened[pc]
-            model = lambda_search(ds, solver)
-            model = dedup(ds, model, solver)
-            if qspec is not None:
-                model = quantize(model, qspec)
-            candidates.append(
-                ScoredCandidate(
-                    model=model,
-                    offline_correct=correct_count(model, ds),
-                    primary_correct=base_report.per_branch[pc].correct,
-                )
-            )
-        hintset, chosen = select(
-            candidates,
-            policy,
-            budget_bits,
-            p=64,
-            q=q,
-            lh=history.lh,
-            gh=history.gh,
-            phase_id=trace.phase_id,
+        trained = train_models(trace, history, screen_cfg, solver)
+        hintset, chosen, base_report = select_hints(
+            trace, trained, history, sim_config, qspec, policy, budget_bits
         )
         hint_path = ""
         if out_dir is not None:

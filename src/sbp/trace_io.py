@@ -67,6 +67,10 @@ def read_trace(path):
     if version != VERSION:
         raise TraceFormatError(f"{path}: unsupported version {version}")
     records = []
+    # A trace repeats a few distinct PCs and gaps: share one int object per
+    # value instead of allocating one per record.
+    pcs = {}
+    gaps = {}
     off = _HEADER.size
     n = len(data)
     while off < n:
@@ -79,7 +83,9 @@ def read_trace(path):
                 raise TraceTruncatedError(off)
             (gap,) = _GAP32.unpack_from(data, off)
             off += _GAP32.size
-        records.append(TraceRecord(pc, bool(flags & 1), gap))
+        records.append(
+            TraceRecord(pcs.setdefault(pc, pc), bool(flags & 1), gaps.setdefault(gap, gap))
+        )
     trace = Trace(records, phase_id=Path(path).stem)
     if trace.total_instructions != total:
         raise TraceFormatError(

@@ -139,3 +139,59 @@ def test_parser_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
     capsys.readouterr()
+
+
+def _write_reports(tmp_path, kind, mpkis):
+    paths = []
+    for phase, mpki in mpkis.items():
+        path = tmp_path / f"{phase}.{kind}.json"
+        path.write_text(json.dumps({"phase_id": phase, "mpki": mpki}))
+        paths.append(path)
+    return paths
+
+
+def test_report_pairs_baselines_by_phase_id(tmp_path):
+    coupled = _write_reports(tmp_path, "coupled", {"a": 2.0, "b": 0.5})
+    base = _write_reports(tmp_path, "baseline", {"a": 4.0, "b": 1.0})
+    ordered = tmp_path / "ordered.csv"
+    swapped = tmp_path / "swapped.csv"
+    assert run_cli("report", "--scurve", *coupled, "--baseline-reports", *base,
+                   "-o", ordered) == 0
+    assert run_cli("report", "--scurve", *coupled,
+                   "--baseline-reports", *reversed(base), "-o", swapped) == 0
+    assert swapped.read_text() == ordered.read_text()
+    rows = {r.split(",")[0]: r.split(",")[1:3] for r in ordered.read_text().splitlines()[1:]}
+    assert rows == {"a": ["4.0", "2.0"], "b": ["1.0", "0.5"]}
+
+
+def test_report_without_baselines_uses_coupled_mpki(tmp_path):
+    coupled = _write_reports(tmp_path, "coupled", {"a": 2.0})
+    csv = tmp_path / "s.csv"
+    assert run_cli("report", "--scurve", *coupled, "-o", csv) == 0
+    assert csv.read_text().splitlines()[1] == "a,2.0,2.0,0.0,0.0"
+
+
+# fewer baseline files than coupled ones, and as many but for another phase
+@pytest.mark.parametrize("baselines", [{"b": 1.0}, {"b": 1.0, "z": 4.0}])
+def test_report_missing_baseline_is_an_error(tmp_path, capsys, baselines):
+    coupled = _write_reports(tmp_path, "coupled", {"a": 2.0, "b": 0.5})
+    base = _write_reports(tmp_path, "baseline", baselines)
+    capsys.readouterr()
+    assert run_cli("report", "--scurve", *coupled, "--baseline-reports", *base) == 1
+    assert capsys.readouterr().err.startswith("sbp: ")
+
+
+def test_report_duplicate_phase_id_is_an_error(tmp_path, capsys):
+    coupled = _write_reports(tmp_path, "coupled", {"a": 2.0})
+    base = _write_reports(tmp_path, "baseline", {"a": 4.0})
+    copy = tmp_path / "copy.json"
+    copy.write_text(base[0].read_text())
+    capsys.readouterr()
+    assert run_cli("report", "--scurve", *coupled,
+                   "--baseline-reports", base[0], copy) == 1
+    assert "repeats" in capsys.readouterr().err
+
+
+def test_jobs_flag_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--jobs", "2", "simulate", "--trace", "t.sbpt"])

@@ -3,16 +3,18 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbp.history import (
     HistoryConfig,
-    HistoryState,
     collect_dataset,
     collect_datasets,
     ints_to_pm1,
 )
 from sbp.trace_io import PC_LOOP, SyntheticScenario, Trace, TraceRecord, gen_loop
 from tests.conftest import random_trace
+from tests.reference_history import reference_collect_datasets
 
 
 def test_ints_to_pm1_bit_order():
@@ -26,34 +28,47 @@ def test_ints_to_pm1_empty_width():
     assert ints_to_pm1([3, 7], 0).shape == (2, 0)
 
 
-def test_history_state_matches_reference_queue():
-    """Oracle: explicit deques of recent outcomes, newest first."""
+def test_collect_datasets_matches_reference_queue():
+    """Oracle: explicit deques of recent outcomes, newest first, with missing
+    history reading as not taken."""
     config = HistoryConfig(gh=6, lh=3)
-    state = HistoryState(config)
-    ref_g = deque(maxlen=6)
-    ref_l = {}
     rng = random.Random(2)
     pcs = [10, 20, 30]
-    for _ in range(400):
-        pc = rng.choice(pcs)
-        taken = rng.random() < 0.5
-        state.update(pc, taken)
-        ref_g.appendleft(taken)
-        ref_l.setdefault(pc, deque(maxlen=3)).appendleft(taken)
-        for i, bit in enumerate(ref_g):
-            assert (state.ghr >> i) & 1 == int(bit)
-        for i, bit in enumerate(ref_l[pc]):
-            assert (state.lhr(pc) >> i) & 1 == int(bit)
+    trace = Trace([TraceRecord(rng.choice(pcs), rng.random() < 0.5) for _ in range(400)])
+    ref_g = deque(maxlen=6)
+    ref_l = {}
+    want = {}
+    for i, rec in enumerate(trace.records):
+        if i >= config.gh + config.lh:
+            local = ref_l.get(rec.pc, ())
+            row = [1 if ref_g[j] else -1 for j in range(6)]
+            row += [(1 if local[j] else -1) if j < len(local) else -1 for j in range(3)]
+            want.setdefault(rec.pc, []).append(row)
+        ref_g.appendleft(rec.taken)
+        ref_l.setdefault(rec.pc, deque(maxlen=3)).appendleft(rec.taken)
+    got = collect_datasets(trace, config)
+    assert set(got) == set(want)
+    for pc, rows in want.items():
+        assert got[pc].x.tolist() == rows
 
 
 def test_features_layout():
     config = HistoryConfig(gh=3, lh=2)
-    state = HistoryState(config)
-    for taken in (True, False, True, True):  # same pc: GHR == LHR tail
-        state.update(7, taken)
-    f = state.features(7)
-    # GHR segment first (newest=index 0), then LHR segment
-    assert f.tolist() == [1, 1, -1, 1, 1]
+    records = [TraceRecord(9, False)]
+    records += [TraceRecord(7, taken) for taken in (True, False, True, True, False)]
+    ds = collect_dataset(Trace(records), config, 7)
+    # one sample, read before the last record: GHR segment first (newest =
+    # index 0), then the LHR segment of pc 7
+    assert ds.x.tolist() == [[1, 1, -1, 1, 1]]
+    assert ds.y.tolist() == [False]
+
+
+def test_local_history_pads_with_not_taken():
+    # the sample is pc 2's second occurrence: one outcome of local history
+    records = [TraceRecord(1, True), TraceRecord(1, False), TraceRecord(2, True),
+               TraceRecord(2, False)]
+    ds = collect_dataset(Trace(records), HistoryConfig(gh=1, lh=2), 2)
+    assert ds.x.tolist() == [[1, 1, -1]]
 
 
 def test_config_validation():
@@ -104,3 +119,37 @@ def test_targets_filter():
     full = collect_datasets(trace, HistoryConfig(gh=4, lh=2))
     assert only[pc].m == full[pc].m
     assert np.array_equal(only[pc].x, full[pc].x)
+
+
+PCS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def traces_and_configs(draw, max_len=120):
+    pcs = draw(PCS)
+    picks = draw(st.lists(st.tuples(st.sampled_from(pcs), st.booleans()), max_size=max_len))
+    trace = Trace([TraceRecord(pc, taken) for pc, taken in picks])
+    gh = draw(st.integers(0, 20))
+    lh = draw(st.integers(0 if gh else 1, 20))
+    absent = draw(st.integers(0, 2**64 - 1).filter(lambda pc: pc not in pcs))
+    targets = draw(st.none() | st.sets(st.sampled_from(pcs + [absent])))
+    return trace, HistoryConfig(gh, lh), targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces_and_configs())
+def test_collect_datasets_equals_per_record_replay(case):
+    """Same bytes, dtypes, shapes and dict order as the shift-register replay,
+    including empty traces, traces inside the warmup, gh = 0 or lh = 0,
+    targets missing from the trace, and PCs up to 2^64 - 1."""
+    trace, config, targets = case
+    got = collect_datasets(trace, config, targets)
+    want = reference_collect_datasets(trace, config, targets)
+    assert list(got) == list(want)
+    for pc, ds in got.items():
+        ref = want[pc]
+        assert ds.target_pc == pc and ds.config == config
+        assert ds.x.dtype == np.int8 and ds.y.dtype == np.bool_
+        assert ds.x.shape == ref.x.shape == (ds.m, config.l)
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()

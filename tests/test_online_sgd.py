@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbp.history import HistoryConfig
 from sbp.online_sgd import (
@@ -14,6 +16,8 @@ from sbp.online_sgd import (
     run_online,
 )
 from sbp.trace_io import PC_B, PC_LOOP, SyntheticScenario, gen_correlated, gen_loop
+from tests.reference_history import reference_run_online
+from tests.test_history import traces_and_configs
 
 
 def random_stream(n, l, seed=0):
@@ -116,3 +120,37 @@ def test_run_online_target_filter_and_counts():
     assert b.occurrences == post_warmup_b
     # B is a one-bit function of the GHR: the online model must beat a coin
     assert b.mispredictions < 0.1 * b.occurrences
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces_and_configs(max_len=300), st.sampled_from([1, 3, 1000]),
+       st.sampled_from([0.05, 0.5]))
+def test_run_online_equals_interleaved_replay(case, interval, eta):
+    """Replaying one branch after another gives the per-record interleaved
+    replay's results exactly: same branches in the same order, same counts,
+    nnz samples and final lambda."""
+    trace, history, targets = case
+    config = OnlineConfig(eta=eta, nnz_cap=4, adaptation_interval=interval)
+    got = run_online(trace, history, target_pcs=targets, config=config)
+    want = reference_run_online(trace, history, target_pcs=targets, config=config)
+    assert list(got) == list(want)
+    for pc, r in got.items():
+        ref = want[pc]
+        assert (r.pc, r.occurrences, r.mispredictions) == (ref.pc, ref.occurrences, ref.mispredictions)
+        assert r.nnz_samples == ref.nnz_samples
+        assert r.nnz_avg == ref.nnz_avg
+        assert r.final_lambda == ref.final_lambda
+
+
+def test_run_online_equals_interleaved_replay_on_correlated_trace():
+    trace = gen_correlated(
+        SyntheticScenario(kind="correlated", length=8_000, seed=3, noise_branches=3)
+    )
+    history = HistoryConfig(19, 4)
+    got = run_online(trace, history)
+    want = reference_run_online(trace, history)
+    assert list(got) == list(want)
+    for pc, r in got.items():
+        assert (r.occurrences, r.mispredictions, r.nnz_samples, r.final_lambda) == (
+            want[pc].occurrences, want[pc].mispredictions,
+            want[pc].nnz_samples, want[pc].final_lambda)
