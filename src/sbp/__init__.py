@@ -45,7 +45,6 @@ from .sparse_modeling import (
 from .trace_io import (
     SyntheticScenario,
     Trace,
-    TraceRecord,
     gen_correlated,
     gen_loop,
     gen_utilization,

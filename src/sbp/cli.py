@@ -182,18 +182,23 @@ def _cmd_train(args):
 
 def _load_models_json(path):
     data = json.loads(Path(path).read_text())
-    models = {}
-    for pc_s, m in data["models"].items():
-        models[int(pc_s)] = SparseModel(
-            pc=int(pc_s),
-            bias=m["bias"],
-            weights={int(j): w for j, w in m["weights"].items()},
-            lam=m["lambda"],
-            accuracy=m["accuracy"],
-            m=m["m"],
-            sufficient=m["sufficient"],
-        )
-    return data["gh"], data["lh"], models
+    try:
+        models = {
+            int(pc_s): SparseModel(
+                pc=int(pc_s),
+                bias=m["bias"],
+                weights={int(j): w for j, w in m["weights"].items()},
+                lam=m["lambda"],
+                accuracy=m["accuracy"],
+                m=m["m"],
+                sufficient=m["sufficient"],
+            )
+            for pc_s, m in data["models"].items()
+        }
+        gh, lh = data["gh"], data["lh"]
+    except (AttributeError, KeyError, TypeError) as e:
+        raise SbpError(f"{path}: not a models file from `sbp train` ({e!r})") from None
+    return gh, lh, models
 
 
 def _cmd_select(args):
@@ -299,15 +304,24 @@ def _cmd_online(args):
     return 0
 
 
+def _read_report(path):
+    """(phase_id or None, mpki) of a report JSON file."""
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, dict) and isinstance(data.get("mpki"), (int, float)):
+        phase = data.get("phase_id")
+        if phase is None or isinstance(phase, str):
+            return phase, data["mpki"]
+    raise SbpError(f"{path}: not a report (needs a numeric mpki and a string phase_id)")
+
+
 def _mpki_by_phase(paths, what):
     """{phase_id: (report, mpki)} of report JSON files; a phase_id may occur once."""
     out = {}
     for path in paths:
-        data = json.loads(Path(path).read_text())
-        phase = data.get("phase_id")
+        phase, mpki = _read_report(path)
         if phase in out:
             raise SbpError(f"{path}: {what} phase_id {phase!r} repeats {out[phase][0]}")
-        out[phase] = (path, data["mpki"])
+        out[phase] = (path, mpki)
     return out
 
 
@@ -323,8 +337,8 @@ def _cmd_report(args):
             entries.append((phase or Path(path).stem, baselines[phase][1], coupled))
     else:
         for path in args.scurve:
-            data = json.loads(Path(path).read_text())
-            entries.append((data.get("phase_id") or Path(path).stem, data["mpki"], data["mpki"]))
+            phase, mpki = _read_report(path)
+            entries.append((phase or Path(path).stem, mpki, mpki))
     table = report_scurve(entries)
     csv = render_scurve_csv(table)
     if args.output:

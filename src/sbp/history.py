@@ -67,21 +67,16 @@ def iter_datasets(trace, config, targets=None):
     """
     gh, lh = config.gh, config.lh
     warmup = gh + lh
-    records = trace.records
-    n = len(records)
-    if n <= warmup:
+    if len(trace) <= warmup:
         return
-    pc_ids = {}  # pc -> dense id, in order of first occurrence
-    ids = np.fromiter(
-        (pc_ids.setdefault(r.pc, len(pc_ids)) for r in records), dtype=np.int32, count=n
-    )
-    pm1 = np.fromiter((r.taken for r in records), dtype=bool, count=n).view(np.int8) * 2 - 1
+    pcs, ids = trace.pc_ids()
+    pm1 = trace.taken.view(np.int8) * 2 - 1
     order = np.argsort(ids, kind="stable")  # positions grouped by id, ascending within
-    starts = np.searchsorted(ids, np.arange(1, len(pc_ids), dtype=ids.dtype), sorter=order)
+    starts = np.searchsorted(ids, np.arange(1, len(pcs), dtype=ids.dtype), sorter=order)
     per_pc = np.split(order, starts)
     del ids
     groups = []  # (first sampled position, pc, positions, first sampled occurrence)
-    for pc, positions in zip(pc_ids, per_pc):
+    for pc, positions in zip(pcs, per_pc):
         k0 = int(np.searchsorted(positions, warmup))
         if k0 < len(positions) and (targets is None or pc in targets):
             groups.append((int(positions[k0]), pc, positions, k0))

@@ -3,13 +3,13 @@ offline pipeline (profile -> train -> compress -> select -> simulate), and
 MPKI / S-curve reporting."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .history import HistoryConfig, collect_datasets
 from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, encode_hintset, quantize, select
-from .predictors import Gshare, Slbiu, TageLite, TageLiteConfig
+from .predictors import MISS, Gshare, Slbiu, TageLite, TageLiteConfig
 from .sparse_modeling import (
     BranchScreen,
     SolverConfig,
@@ -27,7 +27,6 @@ class SimConfig:
     baseline: str = "gshare"  # gshare | tage_lite
     gshare_index_bits: int = 12
     tage: TageLiteConfig = field(default_factory=TageLiteConfig)
-    slbiu: object = None  # expected SlbiuConfig; None accepts the hint file's own
     snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL
 
     def build_baseline(self):
@@ -50,14 +49,7 @@ class PerBranchStats:
     unique_entries_avg: float = 0.0
 
     def to_dict(self):
-        return {
-            "occurrences": self.occurrences,
-            "mispredictions": self.mispredictions,
-            "slbiu_hits": self.slbiu_hits,
-            "correct": self.correct,
-            "allocations": self.allocations,
-            "unique_entries_avg": self.unique_entries_avg,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -96,33 +88,26 @@ def run(trace, config, hintset=None, correct_from=0):
     baseline = config.build_baseline()
     slbiu = None
     if hintset is not None:
-        if config.slbiu is not None and hintset.config != config.slbiu:
-            raise ConfigError("hint file config disagrees with the simulator's SLBIU config")
-        if hintset.config.gh > config.history.gh or hintset.config.lh < 0:
+        if hintset.config.gh > config.history.gh:
             raise ConfigError("SLBIU gh must not exceed the shared history gh")
         slbiu = Slbiu(hintset.config)
         slbiu.load(hintset)
     gmask = (1 << config.history.gh) - 1
     ghr = 0
-    per_branch = {}
+    pcs, ids = trace.pc_ids()
+    stats_of = [PerBranchStats() for _ in pcs]
     mispredictions = 0
     interval = config.snapshot_interval
-    for i, rec in enumerate(trace.records):
-        pc = rec.pc
-        taken = rec.taken
-        stats = per_branch.get(pc)
-        if stats is None:
-            stats = per_branch[pc] = PerBranchStats()
+    # memoryviews hand out one int and one bool at a time: no per-record list
+    for i, (k, taken) in enumerate(zip(memoryview(ids), memoryview(trace.taken))):
+        pc = pcs[k]
+        stats = stats_of[k]
         stats.occurrences += 1
-        suppress = False
-        if slbiu is not None:
-            pred = slbiu.predict(pc, ghr)
-            if pred.hit:
-                stats.slbiu_hits += 1
-                suppress = True
-                direction = pred.direction
-            else:
-                direction = baseline.predict(pc, ghr)
+        pred = MISS if slbiu is None else slbiu.predict(pc, ghr)
+        suppress = pred.hit
+        if suppress:
+            stats.slbiu_hits += 1
+            direction = pred.direction
         else:
             direction = baseline.predict(pc, ghr)
         if direction != taken:
@@ -133,9 +118,10 @@ def run(trace, config, hintset=None, correct_from=0):
         baseline.update(pc, ghr, taken, suppress=suppress)
         if slbiu is not None:
             slbiu.update(pc, taken)
-        ghr = ((ghr << 1) | (1 if taken else 0)) & gmask
+        ghr = ((ghr << 1) | taken) & gmask
         if (i + 1) % interval == 0:
             baseline.snapshot()
+    per_branch = dict(zip(pcs, stats_of))
     for pc, stats in per_branch.items():
         stats.allocations = baseline.allocations(pc)
         stats.unique_entries_avg = baseline.unique_entries_avg(pc)

@@ -8,8 +8,11 @@ File layout (little-endian):
 
 import random
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import TraceFormatError, TraceTruncatedError
 
@@ -18,42 +21,67 @@ VERSION = 1
 GAP_ESCAPE = 255
 
 _HEADER = struct.Struct("<4sHHQ")
-_RECORD = struct.Struct("<QBB")
-_GAP32 = struct.Struct("<I")
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    pc: int
-    taken: bool
-    inst_gap: int = 0  # non-branch instructions retired since the previous record
+_RECORD = np.dtype([("pc", "<u8"), ("flags", "u1"), ("gap", "u1")])  # 10 bytes, packed
+_RSIZE = _RECORD.itemsize
 
 
 @dataclass
 class Trace:
-    records: list
+    """Branch records as columns: pc (uint64), taken (bool), and gap (uint32),
+    the non-branch instructions retired since the previous record (None: 0)."""
+
+    pc: np.ndarray
+    taken: np.ndarray
+    gap: np.ndarray = None
     phase_id: str = ""
+
+    def __post_init__(self):
+        self.pc = np.asarray(self.pc, dtype=np.uint64)
+        self.taken = np.asarray(self.taken, dtype=bool)
+        gap = np.zeros(len(self.pc), np.uint32) if self.gap is None else np.asarray(self.gap)
+        if gap.size and (gap.min() < 0 or gap.max() > 0xFFFF_FFFF):
+            bad = gap.max() if gap.max() > 0xFFFF_FFFF else gap.min()
+            raise ValueError(f"instruction gap {bad} does not fit the trace format's u32")
+        self.gap = gap.astype(np.uint32, copy=False)
+        if not len(self.pc) == len(self.taken) == len(self.gap):
+            raise ValueError("trace columns differ in length")
 
     @property
     def total_instructions(self):
-        return sum(r.inst_gap for r in self.records) + len(self.records)
+        return int(self.gap.sum(dtype=np.uint64)) + len(self)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.pc)
+
+    def pc_ids(self):
+        """Distinct PCs as ascending ints, and each record's int32 index into them."""
+        pcs = np.sort(self.pc)  # not np.unique, whose first call imports numpy.ma (~1 MB)
+        pcs = np.concatenate([pcs[:1], pcs[1:][pcs[1:] != pcs[:-1]]])
+        return pcs.tolist(), np.searchsorted(pcs, self.pc).astype(np.int32)
+
+
+def _gap_mask(size, starts):
+    """Mask over a record body that is False on the u32 gap following each
+    escaped record (starting at the byte offsets `starts`)."""
+    keep = np.ones(size, dtype=bool)
+    for k in range(_RSIZE, _RSIZE + 4):
+        keep[starts + k] = False
+    return keep
 
 
 def write_trace(trace, path):
     """Serialize a trace; byte output is a pure function of the trace."""
-    out = bytearray()
-    out += _HEADER.pack(MAGIC, VERSION, 0, trace.total_instructions)
-    for r in trace.records:
-        gap = r.inst_gap
-        if gap < GAP_ESCAPE:
-            out += _RECORD.pack(r.pc, 1 if r.taken else 0, gap)
-        else:
-            out += _RECORD.pack(r.pc, 1 if r.taken else 0, GAP_ESCAPE)
-            out += _GAP32.pack(gap)
-    Path(path).write_bytes(bytes(out))
+    escaped = np.flatnonzero(trace.gap >= GAP_ESCAPE)
+    rec = np.empty(len(trace), dtype=_RECORD)
+    rec["pc"], rec["flags"] = trace.pc, trace.taken
+    rec["gap"] = np.minimum(trace.gap, GAP_ESCAPE)
+    starts = _RSIZE * escaped + 4 * np.arange(len(escaped))
+    keep = _gap_mask(rec.nbytes + 4 * len(escaped), starts)
+    body = np.empty(len(keep), dtype=np.uint8)
+    body[keep] = rec.view(np.uint8)
+    body[~keep] = trace.gap[escaped].astype("<u4").view(np.uint8)
+    header = _HEADER.pack(MAGIC, VERSION, 0, trace.total_instructions)
+    Path(path).write_bytes(header + body.tobytes())
 
 
 def read_trace(path):
@@ -66,27 +94,29 @@ def read_trace(path):
         raise TraceFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise TraceFormatError(f"{path}: unsupported version {version}")
-    records = []
-    # A trace repeats a few distinct PCs and gaps: share one int object per
-    # value instead of allocating one per record.
-    pcs = {}
-    gaps = {}
-    off = _HEADER.size
-    n = len(data)
-    while off < n:
-        if off + _RECORD.size > n:
-            raise TraceTruncatedError(off)
-        pc, flags, gap = _RECORD.unpack_from(data, off)
-        off += _RECORD.size
-        if gap == GAP_ESCAPE:
-            if off + _GAP32.size > n:
-                raise TraceTruncatedError(off)
-            (gap,) = _GAP32.unpack_from(data, off)
-            off += _GAP32.size
-        records.append(
-            TraceRecord(pcs.setdefault(pc, pc), bool(flags & 1), gaps.setdefault(gap, gap))
-        )
-    trace = Trace(records, phase_id=Path(path).stem)
+    # Byte scan for the escapes: a record is 10 bytes, 14 when its gap byte
+    # escapes to a following u32. A cut record is reported at its start, a
+    # cut u32 at the u32's.
+    escapes = array("q")
+    off, n = _HEADER.size, len(data)
+    while off + _RSIZE <= n:
+        if data[off + _RSIZE - 1] == GAP_ESCAPE:
+            escapes.append(off)
+            off += _RSIZE + 4
+        else:
+            off += _RSIZE
+    if off != n:
+        raise TraceTruncatedError(off - 4 if off > n else off)
+    # Column reads: drop the u32 gaps to leave whole 10-byte records.
+    body = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
+    keep = _gap_mask(len(body), np.frombuffer(escapes, dtype=np.int64) - _HEADER.size)
+    rec = body[keep].view(_RECORD)
+    gap = rec["gap"].astype(np.uint32)
+    np.logical_not(keep, out=keep)  # in place: the mask is as large as the file
+    gap[gap == GAP_ESCAPE] = body[keep].view("<u4")
+    trace = Trace(
+        rec["pc"].astype(np.uint64), (rec["flags"] & 1) != 0, gap, phase_id=Path(path).stem
+    )
     if trace.total_instructions != total:
         raise TraceFormatError(
             f"{path}: header claims {total} instructions, records sum to "
@@ -144,28 +174,22 @@ def gen_correlated(scenario):
     if blocks < 1:
         raise ValueError(f"length {scenario.length} cannot hold one {block}-record block")
     rng = random.Random(scenario.seed)
-    noise_pcs = [PC_NOISE_BASE + 8 * i for i in range(m)]
-    a_history = []
-    records = []
+    block_pcs = [PC_A] + [PC_NOISE_BASE + 8 * i for i in range(m)] + [PC_B]
+    taken = []
     for t in range(blocks):
-        a = rng.random() < 0.5
-        a_history.append(a)
-        records.append(TraceRecord(PC_A, a))
-        for pc in noise_pcs:
-            records.append(TraceRecord(pc, rng.random() < 0.5))
-        b = a_history[t - k] if t >= k else rng.random() < 0.5
-        records.append(TraceRecord(PC_B, b))
-    return Trace(records, phase_id=f"correlated_m{m}_k{k}_s{scenario.seed}")
+        taken.append(rng.random() < 0.5)
+        taken.extend(rng.random() < 0.5 for _ in range(m))
+        taken.append(taken[(t - k) * block] if t >= k else rng.random() < 0.5)  # B
+    return Trace(np.tile(np.array(block_pcs, dtype=np.uint64), blocks), taken,
+                 phase_id=f"correlated_m{m}_k{k}_s{scenario.seed}")
 
 
 def gen_loop(scenario):
     """Single branch with pattern (taken x (s-1), not-taken), phase-shifted by o."""
     s = scenario.loop_period
     o = scenario.loop_offset
-    records = [
-        TraceRecord(PC_LOOP, (i + o) % s != s - 1) for i in range(scenario.length)
-    ]
-    return Trace(records, phase_id=f"loop_s{s}_o{o}")
+    taken = (np.arange(scenario.length) + o) % s != s - 1
+    return Trace(np.full(scenario.length, PC_LOOP), taken, phase_id=f"loop_s{s}_o{o}")
 
 
 def gen_utilization(scenario):
@@ -178,21 +202,19 @@ def gen_utilization(scenario):
     rng = random.Random(scenario.seed)
     total = scenario.length
     n_branch = round(total * scenario.branch_frequency)
-    if n_branch == 0:
-        return Trace([], phase_id=f"util_s{scenario.seed}"), []
     n_static = min(UTIL_STATIC_BRANCHES, n_branch)
     pcs = [PC_UTIL_BASE + 16 * i for i in range(n_static)]
-    records = []
+    pc, taken, gap = [], [], []
     prev_pos = 0
     for j in range(1, n_branch + 1):
         pos = round(j * total / n_branch)
-        records.append(
-            TraceRecord(rng.choice(pcs), rng.random() < 0.5, pos - prev_pos - 1)
-        )
+        pc.append(rng.choice(pcs))
+        taken.append(rng.random() < 0.5)
+        gap.append(pos - prev_pos - 1)
         prev_pos = pos
     n_offload = round(n_static * scenario.offload_ratio)
     offloaded = sorted(rng.sample(pcs, n_offload))
-    return Trace(records, phase_id=f"util_s{scenario.seed}"), offloaded
+    return Trace(pc, taken, gap, phase_id=f"util_s{scenario.seed}"), offloaded
 
 
 def generate(scenario):

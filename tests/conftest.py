@@ -1,6 +1,13 @@
 import random
 
 import pytest
+from hypothesis import settings
+
+# Tier-1 runs the same examples every time: fixed generation, no example
+# database. Each test keeps its own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+
 
 def pytest_configure(config):
     # verdict lines recorded by the acceptance tests, echoed after the run so
@@ -29,7 +36,7 @@ def check(request):
 
     return _check
 
-from sbp.trace_io import SyntheticScenario, Trace, TraceRecord, gen_correlated
+from sbp.trace_io import SyntheticScenario, Trace, gen_correlated
 
 
 @pytest.fixture
@@ -43,7 +50,5 @@ def correlated_trace():
 def random_trace(n, n_pcs=4, seed=0):
     rng = random.Random(seed)
     pcs = [0x400000 + 4 * i for i in range(n_pcs)]
-    return Trace(
-        [TraceRecord(rng.choice(pcs), rng.random() < 0.5) for _ in range(n)],
-        phase_id=f"rand_{seed}",
-    )
+    picks = [(rng.choice(pcs), rng.random() < 0.5) for _ in range(n)]
+    return Trace([pc for pc, _ in picks], [taken for _, taken in picks], phase_id=f"rand_{seed}")

@@ -27,8 +27,7 @@ def replay(trace, config, targets=None):
     lmask = (1 << config.lh) - 1
     ghr = 0
     lhr = {}
-    for i, rec in enumerate(trace.records):
-        pc, taken = rec.pc, rec.taken
+    for i, (pc, taken) in enumerate(zip(trace.pc.tolist(), trace.taken.tolist())):
         if i >= warmup and (targets is None or pc in targets):
             yield pc, ghr, lhr.get(pc, 0), taken
         bit = 1 if taken else 0

@@ -24,7 +24,7 @@ def test_gen_loop_and_read_back(tmp_path):
     path = tmp_path / "loop.sbpt"
     assert run_cli("gen", "--kind", "loop", "--s", 3, "--len", 600, "-o", path) == 0
     trace = read_trace(path)
-    assert len(trace.records) == 600
+    assert len(trace) == 600
 
 
 def test_gen_utilization_sidecar(tmp_path):
@@ -195,3 +195,39 @@ def test_report_duplicate_phase_id_is_an_error(tmp_path, capsys):
 def test_jobs_flag_is_gone():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--jobs", "2", "simulate", "--trace", "t.sbpt"])
+
+
+def test_gap_beyond_u32_is_a_runtime_error(tmp_path, capsys):
+    # one branch record 10^10 - 1 instructions after the start of the trace
+    out = tmp_path / "big.sbpt"
+    capsys.readouterr()
+    assert run_cli("gen", "--kind", "utilization", "--len", 10_000_000_000,
+                   "--branch-frequency", 1e-10, "-o", out) == 1
+    assert capsys.readouterr().err.startswith("sbp: instruction gap 9999999999")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [{"gh": 64}, [1, 2], {"gh": 4, "lh": 0, "models": [1]},
+                                     {"gh": 4, "lh": 0, "models": {"5": {"bias": 0.5}}}])
+def test_select_rejects_wrong_shape_models(tmp_path, capsys, payload):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    models.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
+    assert capsys.readouterr().err.startswith(f"sbp: {models}: not a models file")
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {}, {"mpki": "1.0"}, {"mpki": 1.0, "phase_id": [1]}])
+@pytest.mark.parametrize("with_baselines", [False, True])
+def test_report_rejects_wrong_shape_reports(tmp_path, capsys, payload, with_baselines):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(payload))
+    argv = ["report", "--scurve", report]
+    if with_baselines:
+        argv += ["--baseline-reports", report]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"sbp: {report}: not a report")

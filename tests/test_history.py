@@ -12,7 +12,7 @@ from sbp.history import (
     collect_datasets,
     ints_to_pm1,
 )
-from sbp.trace_io import PC_LOOP, SyntheticScenario, Trace, TraceRecord, gen_loop
+from sbp.trace_io import PC_LOOP, SyntheticScenario, Trace, gen_loop
 from tests.conftest import random_trace
 from tests.reference_history import reference_collect_datasets
 
@@ -34,18 +34,19 @@ def test_collect_datasets_matches_reference_queue():
     config = HistoryConfig(gh=6, lh=3)
     rng = random.Random(2)
     pcs = [10, 20, 30]
-    trace = Trace([TraceRecord(rng.choice(pcs), rng.random() < 0.5) for _ in range(400)])
+    picks = [(rng.choice(pcs), rng.random() < 0.5) for _ in range(400)]
+    trace = Trace([pc for pc, _ in picks], [taken for _, taken in picks])
     ref_g = deque(maxlen=6)
     ref_l = {}
     want = {}
-    for i, rec in enumerate(trace.records):
+    for i, (pc, taken) in enumerate(picks):
         if i >= config.gh + config.lh:
-            local = ref_l.get(rec.pc, ())
+            local = ref_l.get(pc, ())
             row = [1 if ref_g[j] else -1 for j in range(6)]
             row += [(1 if local[j] else -1) if j < len(local) else -1 for j in range(3)]
-            want.setdefault(rec.pc, []).append(row)
-        ref_g.appendleft(rec.taken)
-        ref_l.setdefault(rec.pc, deque(maxlen=3)).appendleft(rec.taken)
+            want.setdefault(pc, []).append(row)
+        ref_g.appendleft(taken)
+        ref_l.setdefault(pc, deque(maxlen=3)).appendleft(taken)
     got = collect_datasets(trace, config)
     assert set(got) == set(want)
     for pc, rows in want.items():
@@ -54,9 +55,8 @@ def test_collect_datasets_matches_reference_queue():
 
 def test_features_layout():
     config = HistoryConfig(gh=3, lh=2)
-    records = [TraceRecord(9, False)]
-    records += [TraceRecord(7, taken) for taken in (True, False, True, True, False)]
-    ds = collect_dataset(Trace(records), config, 7)
+    trace = Trace([9, 7, 7, 7, 7, 7], [False, True, False, True, True, False])
+    ds = collect_dataset(trace, config, 7)
     # one sample, read before the last record: GHR segment first (newest =
     # index 0), then the LHR segment of pc 7
     assert ds.x.tolist() == [[1, 1, -1, 1, 1]]
@@ -65,9 +65,8 @@ def test_features_layout():
 
 def test_local_history_pads_with_not_taken():
     # the sample is pc 2's second occurrence: one outcome of local history
-    records = [TraceRecord(1, True), TraceRecord(1, False), TraceRecord(2, True),
-               TraceRecord(2, False)]
-    ds = collect_dataset(Trace(records), HistoryConfig(gh=1, lh=2), 2)
+    trace = Trace([1, 1, 2, 2], [True, False, True, False])
+    ds = collect_dataset(trace, HistoryConfig(gh=1, lh=2), 2)
     assert ds.x.tolist() == [[1, 1, -1]]
 
 
@@ -90,8 +89,8 @@ def test_warmup_boundary():
 def test_samples_use_history_before_update():
     # Single branch, alternating outcomes: with gh=1 the feature is the
     # previous outcome, so it must be the opposite of the label every time.
-    records = [TraceRecord(5, i % 2 == 0) for i in range(50)]
-    ds = collect_dataset(Trace(records), HistoryConfig(gh=1, lh=0), 5)
+    trace = Trace([5] * 50, [i % 2 == 0 for i in range(50)])
+    ds = collect_dataset(trace, HistoryConfig(gh=1, lh=0), 5)
     assert ds.m == 49
     assert np.all((ds.x[:, 0] == 1) != ds.y)
 
@@ -113,7 +112,7 @@ def test_missing_target_gives_empty_dataset():
 
 def test_targets_filter():
     trace = random_trace(300, n_pcs=3, seed=6)
-    pc = trace.records[250].pc
+    pc = int(trace.pc[250])
     only = collect_datasets(trace, HistoryConfig(gh=4, lh=2), targets={pc})
     assert set(only) == {pc}
     full = collect_datasets(trace, HistoryConfig(gh=4, lh=2))
@@ -128,7 +127,7 @@ PCS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True)
 def traces_and_configs(draw, max_len=120):
     pcs = draw(PCS)
     picks = draw(st.lists(st.tuples(st.sampled_from(pcs), st.booleans()), max_size=max_len))
-    trace = Trace([TraceRecord(pc, taken) for pc, taken in picks])
+    trace = Trace([pc for pc, _ in picks], [taken for _, taken in picks])
     gh = draw(st.integers(0, 20))
     lh = draw(st.integers(0 if gh else 1, 20))
     absent = draw(st.integers(0, 2**64 - 1).filter(lambda pc: pc not in pcs))

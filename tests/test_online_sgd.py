@@ -114,9 +114,7 @@ def test_run_online_target_filter_and_counts():
     results = run_online(trace, history, target_pcs={PC_B})
     assert set(results) == {PC_B}
     b = results[PC_B]
-    post_warmup_b = sum(
-        1 for i, r in enumerate(trace.records) if r.pc == PC_B and i >= 10
-    )
+    post_warmup_b = int(np.count_nonzero(trace.pc[10:] == PC_B))
     assert b.occurrences == post_warmup_b
     # B is a one-bit function of the GHR: the online model must beat a coin
     assert b.mispredictions < 0.1 * b.occurrences

@@ -16,7 +16,6 @@ from sbp.trace_io import (
     PC_B,
     SyntheticScenario,
     Trace,
-    TraceRecord,
     gen_correlated,
     gen_loop,
 )
@@ -35,8 +34,8 @@ def test_mpki_identity():
 
 
 def test_mpki_counts_instruction_gaps():
-    records = [TraceRecord(1, True, 9) for _ in range(100)]  # 10 instructions each
-    report = run(Trace(records), sim_config())
+    trace = Trace([1] * 100, [True] * 100, [9] * 100)  # 10 instructions each
+    report = run(trace, sim_config())
     assert report.total_instructions == 1000
     assert report.mpki == report.mispredictions  # 1000 instructions exactly
 
@@ -59,10 +58,10 @@ def test_empty_hintset_is_identity():
 def test_hint_overrides_and_suppresses_baseline():
     # An always-taken branch with an always-taken hint: the SLBIU must answer
     # every occurrence and the gshare counters must stay untouched.
-    records = [TraceRecord(0x42, True) for _ in range(200)]
+    trace = Trace([0x42] * 200, [True] * 200)
     hint = SparsityHint(0x42, 7.0, [(0, 0.0625)], Q3_4)
     hs = HintSet("", SlbiuConfig(lh=4, gh=10, n=1, nnz=1, q=8), [hint])
-    report = run(Trace(records), sim_config(), hintset=hs)
+    report = run(trace, sim_config(), hintset=hs)
     stats = report.per_branch[0x42]
     assert stats.slbiu_hits == 200
     assert stats.mispredictions == 0
@@ -76,10 +75,6 @@ def test_config_mismatch_rejected():
     hs = empty_hintset(lh=4, gh=32, q=8)  # hint gh exceeds simulator gh
     with pytest.raises(ConfigError):
         run(trace, sim_config(gh=10, lh=4), hintset=hs)
-    other = empty_hintset(lh=4, gh=10, q=8)
-    cfg = sim_config(slbiu=SlbiuConfig(lh=4, gh=10, n=9, nnz=1, q=8))
-    with pytest.raises(ConfigError):
-        run(trace, cfg, hintset=other)
 
 
 def test_unknown_baseline_rejected():

@@ -1,7 +1,12 @@
 import random
 import struct
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbp.errors import TraceFormatError, TraceTruncatedError
 from sbp.trace_io import (
@@ -10,7 +15,6 @@ from sbp.trace_io import (
     PC_LOOP,
     SyntheticScenario,
     Trace,
-    TraceRecord,
     gen_correlated,
     gen_loop,
     gen_utilization,
@@ -18,6 +22,14 @@ from sbp.trace_io import (
     read_trace,
     write_trace,
 )
+from tests.reference_trace import records_of, reference_read, reference_write
+
+
+def same_columns(a, b):
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.pc, b.pc), (a.taken, b.taken), (a.gap, b.gap))
+    )
 
 
 def test_round_trip_identity(tmp_path):
@@ -25,24 +37,39 @@ def test_round_trip_identity(tmp_path):
     records = []
     for _ in range(500):
         gap = rng.choice([0, 1, 7, 254, 255, 256, 1_000_000])
-        records.append(TraceRecord(rng.getrandbits(64), rng.random() < 0.5, gap))
-    trace = Trace(records, phase_id="orig")
+        records.append((rng.getrandbits(64), rng.random() < 0.5, gap))
+    trace = Trace(*zip(*records), phase_id="orig")
     path = tmp_path / "rt.sbpt"
     write_trace(trace, path)
     back = read_trace(path)
-    assert back.records == records
+    assert records_of(back) == records
     assert back.phase_id == "rt"  # phase id comes from the file name
     assert back.total_instructions == trace.total_instructions
 
 
+def test_columns_and_defaults():
+    trace = Trace([1, 2**64 - 1], [True, False])
+    assert (trace.pc.dtype, trace.taken.dtype, trace.gap.dtype) == (
+        np.uint64, np.bool_, np.uint32)
+    assert trace.gap.tolist() == [0, 0]  # no gap column: back-to-back branches
+    assert len(trace) == 2 and trace.total_instructions == 2
+    assert trace.pc_ids()[0] == [1, 2**64 - 1]
+    assert trace.pc_ids()[1].tolist() == [0, 1]
+    pcs, ids = Trace([7, 3, 7, 3, 9], [True] * 5).pc_ids()
+    assert pcs == [3, 7, 9] and ids.dtype == np.int32 and ids.tolist() == [1, 0, 1, 0, 2]
+    assert Trace([], []).pc_ids()[0] == []
+
+
+@pytest.mark.parametrize("gap", [-1, 2**32, 10**10, 2**70])
+def test_gap_outside_u32_rejected(gap):
+    with pytest.raises(ValueError, match="u32"):
+        Trace([1, 2], [True, False], [0, gap])
+
+
 def test_file_size_accounting(tmp_path):
-    records = [
-        TraceRecord(1, True, 3),
-        TraceRecord(2, False, 255),  # escaped gap: extra u32
-        TraceRecord(3, True, 70_000),
-    ]
+    trace = Trace([1, 2, 3], [True, False, True], [3, 255, 70_000])  # 2 escaped gaps
     path = tmp_path / "t.sbpt"
-    write_trace(Trace(records), path)
+    write_trace(trace, path)
     # 16-byte header, 10 bytes per record, 4 extra per escaped gap.
     assert path.stat().st_size == 16 + 10 * 3 + 4 * 2
 
@@ -63,7 +90,7 @@ def test_bad_version_rejected(tmp_path):
 
 def test_truncated_record_rejected(tmp_path):
     path = tmp_path / "trunc.sbpt"
-    write_trace(Trace([TraceRecord(1, True), TraceRecord(2, False)]), path)
+    write_trace(Trace([1, 2], [True, False]), path)
     data = path.read_bytes()
     path.write_bytes(data[:-3])  # cut into the last record
     with pytest.raises(TraceTruncatedError) as exc:
@@ -73,7 +100,7 @@ def test_truncated_record_rejected(tmp_path):
 
 def test_header_total_mismatch_rejected(tmp_path):
     path = tmp_path / "mis.sbpt"
-    write_trace(Trace([TraceRecord(1, True, 5)]), path)
+    write_trace(Trace([1], [True], [5]), path)
     data = bytearray(path.read_bytes())
     struct.pack_into("<Q", data, 8, 999)
     path.write_bytes(bytes(data))
@@ -91,9 +118,9 @@ def test_generator_determinism():
         a = generate(scenario)
         b = generate(scenario)
         if scenario.kind == "utilization":
-            assert a[0].records == b[0].records and a[1] == b[1]
+            assert same_columns(a[0], b[0]) and a[1] == b[1]
         else:
-            assert a.records == b.records
+            assert same_columns(a, b)
 
 
 def test_correlated_structure():
@@ -101,9 +128,9 @@ def test_correlated_structure():
                                  noise_branches=3, correlation_distance=2)
     trace = gen_correlated(scenario)
     block = 5
-    assert len(trace.records) == (10_000 // block) * block
-    a_outcomes = [r.taken for r in trace.records if r.pc == PC_A]
-    b_outcomes = [r.taken for r in trace.records if r.pc == PC_B]
+    assert len(trace) == (10_000 // block) * block
+    a_outcomes = trace.taken[trace.pc == PC_A].tolist()
+    b_outcomes = trace.taken[trace.pc == PC_B].tolist()
     # B(t) replays A(t - k) once k blocks have passed.
     for t in range(2, len(b_outcomes)):
         assert b_outcomes[t] == a_outcomes[t - 2]
@@ -111,8 +138,8 @@ def test_correlated_structure():
 
 def test_loop_pattern():
     trace = gen_loop(SyntheticScenario(kind="loop", length=20, loop_period=4, loop_offset=1))
-    assert all(r.pc == PC_LOOP for r in trace.records)
-    taken = [r.taken for r in trace.records]
+    assert np.all(trace.pc == PC_LOOP)
+    taken = trace.taken.tolist()
     assert taken[:8] == [True, True, False, True, True, True, False, True]
 
 
@@ -120,9 +147,9 @@ def test_utilization_accounting():
     scenario = SyntheticScenario(kind="utilization", length=50_000, seed=9,
                                  branch_frequency=0.2, offload_ratio=0.5)
     trace, offloaded = gen_utilization(scenario)
-    assert len(trace.records) == 10_000
+    assert len(trace) == 10_000
     assert trace.total_instructions == 50_000
-    pool = {r.pc for r in trace.records}
+    pool = set(trace.pc.tolist())
     assert len(offloaded) == 10
     assert set(offloaded) <= pool
 
@@ -136,3 +163,71 @@ def test_scenario_validation():
         SyntheticScenario(kind="correlated", length=10, correlation_distance=0)
     with pytest.raises(ValueError):
         SyntheticScenario(kind="utilization", length=10, branch_frequency=1.5)
+
+
+def test_empty_utilization_trace():
+    trace, offloaded = gen_utilization(
+        SyntheticScenario(kind="utilization", length=10, seed=4, branch_frequency=0.01))
+    assert len(trace) == 0 and offloaded == [] and trace.phase_id == "util_s4"
+
+
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1]),
+        st.booleans(),
+        st.sampled_from([0, 254, 255, 256, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    ),
+    max_size=40,
+)
+
+
+def read_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.sbpt"
+        path.write_bytes(data)
+        return read_trace(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RECORDS)
+def test_write_read_round_trip_matches_per_record_format(records):
+    """Columns written and read back are the records, in the bytes of the
+    per-record writer, with file size 16 + 10 n + 4 escapes; covers the
+    empty trace, PCs up to 2^64 - 1 and gaps at the escape boundary."""
+    trace = Trace([r[0] for r in records], [r[1] for r in records],
+                  [r[2] for r in records])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.sbpt"
+        write_trace(trace, path)
+        data = path.read_bytes()
+    escapes = sum(gap >= 255 for _pc, _taken, gap in records)
+    assert len(data) == 16 + 10 * len(records) + 4 * escapes
+    assert data == reference_write(records)
+    back = read_bytes(data)
+    assert same_columns(back, trace)
+    assert records_of(back) == reference_read(data) == records
+    assert back.total_instructions == trace.total_instructions
+
+
+@settings(max_examples=50, deadline=None)
+@given(RECORDS.filter(bool))
+def test_every_truncation_matches_per_record_reader(records):
+    """Every cut inside a record raises TraceTruncatedError at the per-record
+    reader's offset; a cut between records fails the header total."""
+    data = reference_write(records)
+    for cut in range(16, len(data)):
+        with pytest.raises(TraceFormatError) as ref:
+            reference_read(data[:cut])
+        with pytest.raises(TraceFormatError) as got:
+            read_bytes(data[:cut])
+        assert type(got.value) is type(ref.value)
+        if isinstance(ref.value, TraceTruncatedError):
+            assert got.value.offset == ref.value.offset
+
+
+def test_reader_takes_direction_from_flag_bit_0(tmp_path):
+    data = bytearray(reference_write([(1, False, 0), (2, True, 300)]))
+    data[16 + 8] = 0xFE  # other flag bits are reserved: not taken
+    data[26 + 8] = 0x03
+    assert records_of(read_bytes(bytes(data))) == reference_read(bytes(data)) == [
+        (1, False, 0), (2, True, 300)]
