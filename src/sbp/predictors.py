@@ -1,41 +1,62 @@
-"""Functional predictor models: the SLBIU hint unit, gshare, and TAGE-lite.
+"""Functional predictor models: the SLBIU hint unit, gshare and TAGE-lite.
 
-All histories arrive as ints (bit 0 = newest outcome, 1 = taken); components
-slice off the low bits they use. Prediction before update within one branch is
-the caller's responsibility (the simulator orders probe -> resolve -> update).
+The shared GHR always advances with the resolved outcome, so it is a function
+of the trace: GHR bit j before record i is the outcome of record i-1-j (bit 0
+is the newest, 1 = taken, 0 before the trace starts). So is every index and
+tag folded from it, and every SLBIU sum. The components therefore read
+columns computed from the trace's outcome column (`fold_history`), and only
+the baseline's counters walk record by record, in trace order.
 """
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+import numpy as np
 
-SLBIU_LATENCY = 3
-BASELINE_LATENCY = 1
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class Prediction:
     direction: bool  # True = taken
     hit: bool
-    latency_cycles: int
 
 
-# The only three outcomes of an SLBIU probe, shared by every call.
-MISS = Prediction(direction=False, hit=False, latency_cycles=BASELINE_LATENCY)
-HIT_TAKEN = Prediction(direction=True, hit=True, latency_cycles=SLBIU_LATENCY)
-HIT_NOT_TAKEN = Prediction(direction=False, hit=True, latency_cycles=SLBIU_LATENCY)
+# The only three outcomes of a scalar SLBIU probe, shared by every call.
+MISS = Prediction(direction=False, hit=False)
+HIT_TAKEN = Prediction(direction=True, hit=True)
+HIT_NOT_TAKEN = Prediction(direction=False, hit=True)
 
 
-def fold(value, width):
-    """XOR-fold an arbitrary-width int down to `width` bits."""
-    if width <= 0:
-        return 0
-    mask = (1 << width) - 1
-    out = 0
-    while value:
-        out ^= value & mask
-        value >>= width
+def fold_pcs(pcs, width):
+    """fold(pc, width) of each 64-bit PC: the XOR of its width-bit chunks."""
+    pcs = np.asarray(pcs, dtype=np.uint64)
+    out = np.zeros(len(pcs), dtype=np.uint64)
+    if width > 0:
+        mask = np.uint64((1 << min(width, 64)) - 1)
+        for shift in range(0, 64, width):
+            out ^= (pcs >> np.uint64(shift)) & mask
     return out
+
+
+def fold_history(taken, start, stop, lengths, width):
+    """Folded GHR columns over records start..stop-1 of the outcome column.
+
+    For each L in `lengths` (ascending) one uint32 column holding
+    fold(ghr & (2^L - 1), width): bit k is the XOR of the outcomes at
+    distances j < L with j % width == k, where the outcome at distance j from
+    record i is that of record i-1-j. Works for any L; width is at most 32.
+    """
+    out = np.zeros(stop - start, dtype=np.uint32)
+    cols = []
+    j = 0
+    for length in lengths:
+        while width and j < length:
+            lo = max(start, j + 1)  # records before j+1 have no outcome at distance j
+            if lo < stop:
+                out[lo - start:] ^= taken[lo - 1 - j:stop - 1 - j].astype(np.uint32) << (j % width)
+            j += 1
+        cols.append(out.copy())
+    return cols
 
 
 class Slbiu:
@@ -44,7 +65,6 @@ class Slbiu:
     def __init__(self, config):
         self.config = config
         self.entries = {}  # pc -> [datapath, lhr int]; see _datapath
-        self._lmask = (1 << config.lh) - 1
         # Dot product accumulates nnz+1 fixed-point terms of q bits each;
         # ceil(log2(nnz+1)) + q bits suffice.
         self._sum_bits = config.q + max(config.nnz, 0).bit_length()
@@ -62,12 +82,13 @@ class Slbiu:
 
         Fixed-point hints become integers in units of 2^-F (exact: their values
         are fixed-point multiples), and their adder-tree range is checked here,
-        once, over every possible history. Terms are (bit position in the GHR
-        or LHR, weight), in history-index order.
+        once, over every possible history. fp32 hints sum as floats. Terms are
+        (bit position in the GHR or LHR, weight), in history-index order.
         """
         qspec = hint.qspec
         if qspec is None:
-            bias, terms = hint.intercept, hint.entries
+            bias = float(hint.intercept)
+            terms = [(j, float(wv)) for j, wv in hint.entries]
         else:
             scale = 1 << qspec.fraction_bits
             bias = round(hint.intercept * scale)
@@ -84,6 +105,7 @@ class Slbiu:
         return bias, ghr_terms, lhr_terms
 
     def predict(self, pc, ghr):
+        """One probe with a given GHR and the entry's stored LHR."""
         entry = self.entries.get(pc)
         if entry is None:
             return MISS
@@ -95,44 +117,70 @@ class Slbiu:
             total += wv if (lhr >> j) & 1 else -wv
         return HIT_TAKEN if total >= 0 else HIT_NOT_TAKEN
 
-    def update(self, pc, taken):
-        """Shift the outcome into the entry's LHR; weights never change."""
-        entry = self.entries.get(pc)
-        if entry is not None:
-            entry[1] = ((entry[1] << 1) | (1 if taken else 0)) & self._lmask
+    def directions(self, taken, ids, pcs):
+        """Probe every record of a trace: (hit, direction) bool columns.
+
+        taken is the outcome column, ids each record's index into the distinct
+        `pcs`. A resident PC's LHR starts at zero and shifts in each of its own
+        outcomes after its probe. The sums add the same terms in the same
+        order as `predict`: fixed-point hints as int64, fp32 hints as float64.
+        """
+        hit = np.zeros(len(taken), dtype=bool)
+        direction = np.zeros(len(taken), dtype=bool)
+        gh, lh = self.config.gh, self.config.lh
+        padded = np.concatenate([np.zeros(gh, dtype=bool), taken])
+        for k, pc in enumerate(pcs):
+            entry = self.entries.get(pc)
+            if entry is None:
+                continue
+            (bias, ghr_terms, lhr_terms), _ = entry
+            rows = np.flatnonzero(ids == k)
+            total = np.full(len(rows), bias)
+            for j, wv in ghr_terms:
+                total += np.where(padded[rows + (gh - 1 - j)], wv, -wv)
+            own = np.concatenate([np.zeros(lh, dtype=bool), taken[rows]])
+            for j, wv in lhr_terms:
+                bits = own[lh - 1 - j:lh - 1 - j + len(rows)] if j < lh else False
+                total += np.where(bits, wv, -wv)
+            hit[rows] = True
+            direction[rows] = total >= 0
+        return hit, direction
 
 
 class Gshare:
     """2-bit-counter gshare; GHR folded by XOR into the index width."""
 
-    def __init__(self, index_bits_, gh):
+    def __init__(self, index_bits_, gh, pcs):
         self.index_bits = index_bits_
         self.gh = gh
-        self._mask = (1 << index_bits_) - 1
-        self._gmask = (1 << gh) - 1
-        self.counters = [1] * (1 << index_bits_)  # weakly not-taken
+        self.counters = bytearray([1]) * (1 << index_bits_)  # weakly not-taken
+        self._pc_bits = np.asarray(pcs, dtype=np.uint64) & np.uint64((1 << index_bits_) - 1)
 
-    def _index(self, pc, ghr):
-        return (pc ^ fold(ghr & self._gmask, self.index_bits)) & self._mask
-
-    def predict(self, pc, ghr):
-        return self.counters[self._index(pc, ghr)] >= 2
-
-    def update(self, pc, ghr, taken, suppress=False):
-        if suppress:
-            return
-        i = self._index(pc, ghr)
-        c = self.counters[i]
-        self.counters[i] = min(c + 1, 3) if taken else max(c - 1, 0)
+    def walk(self, ids, taken, start, stop, rows):
+        """Predict, then train on, records `rows` (ascending, in start..stop)
+        in order; returns their predicted directions."""
+        (hist,) = fold_history(taken, start, stop, (self.gh,), self.index_bits)
+        index = self._pc_bits[ids[rows]] ^ hist[rows - start]
+        pred = bytearray(len(rows))
+        ctr = self.counters
+        for r, (i, t) in enumerate(zip(memoryview(index), memoryview(taken[rows]))):
+            c = ctr[i]
+            pred[r] = c >= 2
+            if t:
+                if c < 3:
+                    ctr[i] = c + 1
+            elif c:
+                ctr[i] = c - 1
+        return np.frombuffer(pred, dtype=bool)
 
     def snapshot(self):
         pass
 
-    def allocations(self, pc):
-        return 0
+    def allocations(self):
+        return [0] * len(self._pc_bits)
 
-    def unique_entries_avg(self, pc):
-        return 0.0
+    def unique_entries_avg(self):
+        return [0.0] * len(self._pc_bits)
 
 
 @dataclass(frozen=True)
@@ -151,128 +199,135 @@ class TageLiteConfig:
             raise ValueError("history lengths must be strictly increasing")
         if len(lengths) != self.num_tables:
             raise ValueError("need one history length per table")
+        if not 1 <= self.table_entries <= 1 << 32 or self.base_entries < 1:
+            raise ValueError("TAGE tables need at least one entry, tagged ones at most 2^32")
+        if not 0 <= self.tag_bits <= 32:
+            raise ValueError("TAGE tags are 0 to 32 bits")
         object.__setattr__(self, "history_lengths", tuple(lengths))
-
-
-class _TageEntry:
-    __slots__ = ("tag", "ctr", "u", "owner", "valid")
-
-    def __init__(self):
-        self.tag = 0
-        self.ctr = 0
-        self.u = 0
-        self.owner = 0
-        self.valid = False
 
 
 class TageLite:
     """Simplified TAGE: tagged tables over geometric history lengths plus a
     bimodal base. Tracks per-PC allocation counts and periodic-snapshot
-    unique-entry averages (entries tagged by the allocating PC)."""
+    unique-entry averages (entries tagged by the allocating PC).
 
-    def __init__(self, config):
+    The tagged tables are flat over (table, index). An entry holds its tag
+    plus one, so 0 marks an entry that was never allocated.
+    """
+
+    def __init__(self, config, pcs):
         self.config = config
-        ib = (config.table_entries - 1).bit_length()
-        self._index_bits = ib
-        self._imask = config.table_entries - 1
-        self._base_mask = config.base_entries - 1
-        self.base = [1] * config.base_entries  # weakly not-taken
-        self.tables = [
-            [_TageEntry() for _ in range(config.table_entries)]
-            for _ in range(config.num_tables)
-        ]
-        self._alloc = {}
-        self._snap_sum = {}
+        self._index_bits = (config.table_entries - 1).bit_length()
+        size = config.num_tables * config.table_entries
+        self.base = bytearray([1]) * config.base_entries  # weakly not-taken
+        self._tag = np.zeros(size, dtype=np.int64)
+        self._ctr = bytearray(size)
+        self._u = bytearray(size)
+        self._owner = np.full(size, -1, dtype=np.int32)  # pc index of the allocator
+        pcs = np.asarray(pcs, dtype=np.uint64)
+        self._pc_index = fold_pcs(pcs, self._index_bits)
+        self._pc_tag = fold_pcs(pcs, config.tag_bits)
+        self._pc_base = pcs & np.uint64(config.base_entries - 1)
+        self._alloc = [0] * len(pcs)
+        self._snap_sum = np.zeros(len(pcs), dtype=np.int64)
         self._snap_count = 0
-        self._last = None
 
-    def _components(self, pc, ghr):
-        idxs = []
-        tags = []
-        for t, length in enumerate(self.config.history_lengths):
-            hist = ghr & ((1 << length) - 1)
-            idxs.append((fold(pc, self._index_bits) ^ fold(hist, self._index_bits) ^ t) & self._imask)
-            tags.append(
-                (fold(pc, self.config.tag_bits) ^ fold(hist, self.config.tag_bits) ^ (t << 1))
-                & ((1 << self.config.tag_bits) - 1)
-            )
-        return idxs, tags
+    def _slots_and_tags(self, ids, taken, start, stop, rows):
+        """Per table, the flat entry slot and the tag (plus one) of each row."""
+        cfg = self.config
+        lengths = cfg.history_lengths
+        hists = fold_history(taken, start, stop, lengths, self._index_bits)
+        tag_hists = (
+            hists if cfg.tag_bits == self._index_bits
+            else fold_history(taken, start, stop, lengths, cfg.tag_bits)
+        )
+        k, off = ids[rows], rows - start
+        pc_index, pc_tag = self._pc_index[k], self._pc_tag[k]
+        imask, tmask = cfg.table_entries - 1, (1 << cfg.tag_bits) - 1
+        slots, tags = [], []
+        for t in range(cfg.num_tables):
+            index = (pc_index ^ hists[t][off] ^ np.uint64(t)) & np.uint64(imask)
+            slots.append(memoryview(index.astype(np.int64) + t * cfg.table_entries))
+            tag = (pc_tag ^ tag_hists[t][off] ^ np.uint64(t << 1)) & np.uint64(tmask)
+            tags.append(memoryview(tag.astype(np.int64) + 1))
+        return slots, tags
 
-    def predict(self, pc, ghr):
-        idxs, tags = self._components(pc, ghr)
-        provider = None
-        for t in range(self.config.num_tables - 1, -1, -1):
-            e = self.tables[t][idxs[t]]
-            if e.valid and e.tag == tags[t]:
-                provider = t
-                break
-        if provider is not None:
-            pred = self.tables[provider][idxs[provider]].ctr >= 4
-        else:
-            pred = self.base[pc & self._base_mask] >= 2
-        alt = None
-        if provider is not None:
-            alt = self.base[pc & self._base_mask] >= 2
-            for t in range(provider - 1, -1, -1):
-                e = self.tables[t][idxs[t]]
-                if e.valid and e.tag == tags[t]:
-                    alt = e.ctr >= 4
+    def walk(self, ids, taken, start, stop, rows):
+        """Predict, then train on, records `rows` (ascending, in start..stop)
+        in order; returns their predicted directions."""
+        slots, tags = self._slots_and_tags(ids, taken, start, stop, rows)
+        tables = range(self.config.num_tables)
+        longest_first = tables[::-1]
+        base, ctr, u, alloc = self.base, self._ctr, self._u, self._alloc
+        tag, owner = memoryview(self._tag), memoryview(self._owner)
+        k = ids[rows]
+        pred_out = bytearray(len(rows))
+        records = zip(
+            memoryview(k), memoryview(taken[rows]), memoryview(self._pc_base[k]),
+            zip(*slots), zip(*tags),
+        )
+        for r, (pc, t, b, sl, tg) in enumerate(records):
+            provider = -1
+            for p in longest_first:
+                if tag[sl[p]] == tg[p]:
+                    provider = p
                     break
-        self._last = (pc, ghr, idxs, tags, provider, pred, alt)
-        return pred
-
-    def update(self, pc, ghr, taken, suppress=False):
-        if suppress:
-            self._last = None
-            return
-        if self._last is not None and self._last[0] == pc and self._last[1] == ghr:
-            _, _, idxs, tags, provider, pred, alt = self._last
-        else:
-            self.predict(pc, ghr)
-            _, _, idxs, tags, provider, pred, alt = self._last
-        self._last = None
-        if provider is not None:
-            e = self.tables[provider][idxs[provider]]
-            e.ctr = min(e.ctr + 1, 7) if taken else max(e.ctr - 1, 0)
-            if alt is not None and pred != alt:
-                e.u = min(e.u + 1, 3) if pred == taken else max(e.u - 1, 0)
-        else:
-            i = pc & self._base_mask
-            c = self.base[i]
-            self.base[i] = min(c + 1, 3) if taken else max(c - 1, 0)
-        if pred != taken:
-            start = 0 if provider is None else provider + 1
-            candidates = [
-                (t, self.tables[t][idxs[t]])
-                for t in range(start, self.config.num_tables)
-            ]
-            victim = next(((t, e) for t, e in candidates if e.u == 0), None)
-            if victim is not None:
-                t, e = victim
-                e.tag = tags[t]
-                e.ctr = 4 if taken else 3  # weak in the resolved direction
-                e.u = 0
-                e.owner = pc
-                e.valid = True
-                self._alloc[pc] = self._alloc.get(pc, 0) + 1
+            if provider >= 0:
+                s = sl[provider]
+                c = ctr[s]
+                pred = c >= 4
+                alt = base[b] >= 2
+                for a in range(provider - 1, -1, -1):
+                    if tag[sl[a]] == tg[a]:
+                        alt = ctr[sl[a]] >= 4
+                        break
+                if t:
+                    if c < 7:
+                        ctr[s] = c + 1
+                elif c:
+                    ctr[s] = c - 1
+                if pred != alt:
+                    c = u[s]
+                    if pred == t:
+                        if c < 3:
+                            u[s] = c + 1
+                    elif c:
+                        u[s] = c - 1
             else:
-                for _, e in candidates:
-                    e.u = max(e.u - 1, 0)
+                c = base[b]
+                pred = c >= 2
+                if t:
+                    if c < 3:
+                        base[b] = c + 1
+                elif c:
+                    base[b] = c - 1
+            pred_out[r] = pred
+            if pred != t:
+                candidates = tables[provider + 1:]
+                for v in candidates:
+                    s = sl[v]
+                    if u[s] == 0:
+                        tag[s] = tg[v]
+                        ctr[s] = 4 if t else 3  # weak in the resolved direction
+                        owner[s] = pc
+                        alloc[pc] += 1
+                        break
+                else:
+                    for v in candidates:
+                        s = sl[v]
+                        if u[s]:
+                            u[s] -= 1
+        return np.frombuffer(pred_out, dtype=bool)
 
     def snapshot(self):
-        counts = {}
-        for table in self.tables:
-            for e in table:
-                if e.valid:
-                    counts[e.owner] = counts.get(e.owner, 0) + 1
-        for pc, n in counts.items():
-            self._snap_sum[pc] = self._snap_sum.get(pc, 0) + n
+        owners = self._owner[self._owner >= 0]
+        self._snap_sum += np.bincount(owners, minlength=len(self._snap_sum))
         self._snap_count += 1
 
-    def allocations(self, pc):
-        return self._alloc.get(pc, 0)
+    def allocations(self):
+        return list(self._alloc)
 
-    def unique_entries_avg(self, pc):
+    def unique_entries_avg(self):
         if self._snap_count == 0:
-            return 0.0
-        return self._snap_sum.get(pc, 0) / self._snap_count
+            return [0.0] * len(self._snap_sum)
+        return [n / self._snap_count for n in self._snap_sum.tolist()]

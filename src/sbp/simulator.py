@@ -6,10 +6,12 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .history import HistoryConfig, collect_datasets
 from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, encode_hintset, quantize, select
-from .predictors import MISS, Gshare, Slbiu, TageLite, TageLiteConfig
+from .predictors import Gshare, Slbiu, TageLite, TageLiteConfig
 from .sparse_modeling import (
     BranchScreen,
     SolverConfig,
@@ -19,6 +21,7 @@ from .sparse_modeling import (
 )
 
 DEFAULT_SNAPSHOT_INTERVAL = 100_000
+BLOCK = 4096  # records per block of history columns
 
 
 @dataclass
@@ -29,13 +32,14 @@ class SimConfig:
     tage: TageLiteConfig = field(default_factory=TageLiteConfig)
     snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL
 
-    def build_baseline(self):
+    def build_baseline(self, pcs):
+        """The baseline for a trace whose distinct PCs are `pcs`."""
         if self.baseline == "gshare":
-            return Gshare(self.gshare_index_bits, self.history.gh)
+            return Gshare(self.gshare_index_bits, self.history.gh, pcs)
         if self.baseline == "tage_lite":
             if max(self.tage.history_lengths) > self.history.gh:
                 raise ConfigError("TAGE-lite history lengths exceed the shared GHR")
-            return TageLite(self.tage)
+            return TageLite(self.tage, pcs)
         raise ConfigError(f"unknown baseline {self.baseline!r}")
 
 
@@ -84,47 +88,50 @@ def run(trace, config, hintset=None, correct_from=0):
 
     correct_from: record index from which per-branch correct-prediction counts
     accumulate (used by the pipeline to measure the primary predictor).
+
+    Every SLBIU answer is a function of the trace, so the hit mask is known
+    up front and the baseline walks only the records the SLBIU misses, in
+    blocks of at most BLOCK records that end on every snapshot boundary.
     """
-    baseline = config.build_baseline()
-    slbiu = None
-    if hintset is not None:
+    interval = config.snapshot_interval
+    if interval < 1:
+        raise ConfigError("snapshot interval must be at least 1")
+    pcs, ids = trace.pc_ids()
+    baseline = config.build_baseline(pcs)
+    taken = trace.taken
+    n = len(taken)
+    if hintset is None:
+        hit, pred = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    else:
         if hintset.config.gh > config.history.gh:
             raise ConfigError("SLBIU gh must not exceed the shared history gh")
         slbiu = Slbiu(hintset.config)
         slbiu.load(hintset)
-    gmask = (1 << config.history.gh) - 1
-    ghr = 0
-    pcs, ids = trace.pc_ids()
-    stats_of = [PerBranchStats() for _ in pcs]
-    mispredictions = 0
-    interval = config.snapshot_interval
-    # memoryviews hand out one int and one bool at a time: no per-record list
-    for i, (k, taken) in enumerate(zip(memoryview(ids), memoryview(trace.taken))):
-        pc = pcs[k]
-        stats = stats_of[k]
-        stats.occurrences += 1
-        pred = MISS if slbiu is None else slbiu.predict(pc, ghr)
-        suppress = pred.hit
-        if suppress:
-            stats.slbiu_hits += 1
-            direction = pred.direction
-        else:
-            direction = baseline.predict(pc, ghr)
-        if direction != taken:
-            mispredictions += 1
-            stats.mispredictions += 1
-        if i >= correct_from and not suppress and direction == taken:
-            stats.correct += 1
-        baseline.update(pc, ghr, taken, suppress=suppress)
-        if slbiu is not None:
-            slbiu.update(pc, taken)
-        ghr = ((ghr << 1) | taken) & gmask
-        if (i + 1) % interval == 0:
+        hit, pred = slbiu.directions(taken, ids, pcs)
+    # occurrences, mispredictions, slbiu_hits and correct per PC, summed over
+    # blocks so that no temporary spans the trace
+    counts = np.zeros((4, len(pcs)), dtype=np.int64)
+    stops = sorted({*range(BLOCK, n, BLOCK), *range(interval, n, interval), n} - {0})
+    start = 0
+    for stop in stops:
+        block_hit = hit[start:stop]
+        rows = np.flatnonzero(~block_hit) + start
+        if len(rows):
+            pred[rows] = baseline.walk(ids, taken, start, stop, rows)
+        if stop % interval == 0:
             baseline.snapshot()
-    per_branch = dict(zip(pcs, stats_of))
-    for pc, stats in per_branch.items():
-        stats.allocations = baseline.allocations(pc)
-        stats.unique_entries_avg = baseline.unique_entries_avg(pc)
+        wrong = pred[start:stop] != taken[start:stop]
+        correct = ~(block_hit | wrong)
+        correct[:max(correct_from - start, 0)] = False
+        k = ids[start:stop]
+        for row, mask in enumerate((None, wrong, block_hit, correct)):
+            counts[row] += np.bincount(k if mask is None else k[mask], minlength=len(pcs))
+        start = stop
+    columns = zip(  # in PerBranchStats field order
+        *counts.tolist(), baseline.allocations(), baseline.unique_entries_avg()
+    )
+    per_branch = {pc: PerBranchStats(*col) for pc, col in zip(pcs, columns)}
+    mispredictions = int(counts[1].sum())
     total = trace.total_instructions
     mpki = 1000.0 * mispredictions / total if total else 0.0
     return SimReport(

@@ -259,15 +259,3 @@ def dump_model(model):
         lines.append(f"{j} {model.weights[j]!r}")
     return "\n".join(lines) + "\n"
 
-
-def parse_model(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    pc, bias, lam, acc, m = lines[0].split()
-    weights = {}
-    for ln in lines[1:]:
-        j, v = ln.split()
-        weights[int(j)] = float(v)
-    return SparseModel(
-        pc=int(pc), bias=float(bias), weights=weights, lam=float(lam),
-        accuracy=float(acc), m=int(m),
-    )

@@ -109,11 +109,15 @@ def read_trace(path):
         raise TraceTruncatedError(off - 4 if off > n else off)
     # Column reads: drop the u32 gaps to leave whole 10-byte records.
     body = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
-    keep = _gap_mask(len(body), np.frombuffer(escapes, dtype=np.int64) - _HEADER.size)
-    rec = body[keep].view(_RECORD)
-    gap = rec["gap"].astype(np.uint32)
-    np.logical_not(keep, out=keep)  # in place: the mask is as large as the file
-    gap[gap == GAP_ESCAPE] = body[keep].view("<u4")
+    if escapes:
+        keep = _gap_mask(len(body), np.frombuffer(escapes, dtype=np.int64) - _HEADER.size)
+        rec = body[keep].view(_RECORD)
+        gap = rec["gap"].astype(np.uint32)
+        np.logical_not(keep, out=keep)  # in place: the mask is as large as the file
+        gap[gap == GAP_ESCAPE] = body[keep].view("<u4")
+    else:  # every record is 10 bytes: read the columns from the file bytes
+        rec = body.view(_RECORD)
+        gap = rec["gap"].astype(np.uint32)
     trace = Trace(
         rec["pc"].astype(np.uint64), (rec["flags"] & 1) != 0, gap, phase_id=Path(path).stem
     )

@@ -231,3 +231,82 @@ def test_report_rejects_wrong_shape_reports(tmp_path, capsys, payload, with_base
     capsys.readouterr()
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith(f"sbp: {report}: not a report")
+
+
+def _model(**changes):
+    model = {"bias": 0.5, "weights": {"1": 1.0}, "lambda": 0.01, "accuracy": 1.0,
+             "m": 300, "sufficient": True}
+    model.update(changes)
+    return model
+
+
+@pytest.mark.parametrize("model, message", [
+    (_model(bias="x"), "model 12288: bias 'x' is not a finite number"),
+    (_model(bias=True), "model 12288: bias True is not a finite number"),
+    (_model(**{"lambda": None}), "model 12288: lambda None is not a finite number"),
+    (_model(weights={"1": "0.5"}), "model 12288: weight 1 '0.5' is not a finite number"),
+    (_model(weights={"one": 0.5}), "model 12288: weight index 'one' is not an integer"),
+    (_model(weights={"9": 0.5}), "model 12288: weight index 9 is outside [0, 4)"),
+    (_model(weights={"-1": 0.5}), "model 12288: weight index -1 is outside [0, 4)"),
+])
+def test_select_rejects_bad_model_values(tmp_path, capsys, model, message):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    models.write_text(json.dumps({"gh": 4, "lh": 0, "models": {"12288": model}}))
+    capsys.readouterr()
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
+    assert capsys.readouterr().err == f"sbp: {models}: {message}\n"
+    assert not (tmp_path / "h.sbph").exists()
+
+
+def test_select_accepts_integer_model_values(tmp_path):
+    # JSON integers are numbers too
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    # period 2: a branch opposite to its last outcome and equal to its fourth-last
+    model = _model(bias=1, weights={"0": -2, "3": 1.5}, accuracy=1)
+    models.write_text(json.dumps({"gh": 4, "lh": 0, "models": {"12288": model}}))
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--policy", "independent", "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 0
+    assert [h.pc for h in decode_hintset(tmp_path / "h.sbph").hints] == [0x3000]
+
+
+BAD_SIZES = [
+    ("--gshare-bits", "-1", "gshare", "--gshare-bits must be 0 to 24"),
+    ("--gshare-bits", "25", "gshare", "--gshare-bits must be 0 to 24"),
+    ("--gshare-bits", "40", "gshare", "--gshare-bits must be 0 to 24"),
+    ("--tage-entries", "0", "tage-lite", "--tage-entries must be 1 to 65536"),
+    ("--tage-entries", "65537", "tage-lite", "--tage-entries must be 1 to 65536"),
+]
+
+
+@pytest.mark.parametrize("flag, value, baseline, message", BAD_SIZES)
+@pytest.mark.parametrize("command", ["simulate", "select", "pipeline"])
+def test_impossible_baseline_sizes_rejected_before_reading(tmp_path, capsys, flag, value,
+                                                           baseline, message, command):
+    missing = tmp_path / "missing.sbpt"  # never read: the flag check comes first
+    argv = {
+        "simulate": ["simulate", "--trace", missing],
+        "select": ["select", "--models", tmp_path / "none.json", "--trace", missing,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph"],
+        "pipeline": ["pipeline", "--traces", missing, "--budget-kb", 1,
+                     "--out-dir", tmp_path / "out"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--baseline", baseline, flag, value) == 2
+    assert capsys.readouterr().err == f"sbp: {message}\n"
+
+
+def test_baseline_size_limits_accepted(tmp_path, capsys):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    for flags in (["--gshare-bits", 0], ["--gshare-bits", 24],
+                  ["--baseline", "tage-lite", "--tage-entries", 1],
+                  ["--baseline", "tage-lite", "--tage-entries", 100],
+                  ["--baseline", "tage-lite", "--tage-entries", 65536],
+                  ["--tage-entries", 0]):  # only the chosen baseline's size is checked
+        assert run_cli("simulate", "--trace", trace, "--gh", 32, "--lh", 4, *flags,
+                       "-o", tmp_path / "r.json") == 0

@@ -1,19 +1,20 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbp.errors import ConfigError
 from sbp.hints import Q3_4, HintSet, SlbiuConfig, SparsityHint
 from sbp.predictors import (
-    BASELINE_LATENCY,
     HIT_NOT_TAKEN,
     HIT_TAKEN,
     MISS,
-    SLBIU_LATENCY,
-    Gshare,
     Slbiu,
-    TageLite,
     TageLiteConfig,
-    fold,
+    fold_history,
+    fold_pcs,
 )
+from tests.reference_predictors import Gshare, TageLite, fold
 
 
 def make_slbiu(hints, lh=4, gh=8, n=4, nnz=4, q=8):
@@ -29,11 +30,38 @@ def test_fold():
     assert fold(0, 8) == 0
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=200),
+    st.integers(0, 130),
+    st.integers(0, 32),
+    st.data(),
+)
+def test_fold_history_matches_shift_register(outcomes, length, width, data):
+    taken = np.array(outcomes, dtype=bool)
+    start = data.draw(st.integers(0, len(taken)))
+    stop = data.draw(st.integers(start, len(taken)))
+    lengths = sorted({length, data.draw(st.integers(0, length))})
+    cols = fold_history(taken, start, stop, lengths, width)
+    ghr = 0
+    for i, t in enumerate(outcomes[:stop]):
+        if i >= start:
+            for col, n in zip(cols, lengths):
+                assert col[i - start] == fold(ghr & ((1 << n) - 1), width)
+        ghr = (ghr << 1) | t
+    assert [col.dtype for col in cols] == [np.uint32] * len(lengths)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=8), st.integers(0, 70))
+def test_fold_pcs_matches_fold(pcs, width):
+    assert fold_pcs(pcs, width).tolist() == [fold(pc, width) for pc in pcs]
+
+
 def test_slbiu_miss():
     unit = make_slbiu([])
     pred = unit.predict(0x42, 0)
     assert not pred.hit
-    assert pred.latency_cycles == BASELINE_LATENCY
 
 
 def test_slbiu_single_weight_sign_flip():
@@ -43,7 +71,6 @@ def test_slbiu_single_weight_sign_flip():
     not_taken_hist = unit.predict(0x42, 0b000)
     assert taken_hist.hit and taken_hist.direction is True
     assert not_taken_hist.direction is False
-    assert taken_hist.latency_cycles == SLBIU_LATENCY
 
 
 def test_slbiu_zero_sum_is_taken():
@@ -58,16 +85,24 @@ def test_slbiu_local_history_path():
     hint = SparsityHint(0x42, 0.0, [(9, 2.0)], Q3_4)
     unit = make_slbiu([hint], lh=4, gh=8)
     assert unit.predict(0x42, 0).direction is False
-    unit.update(0x42, True)  # LHR = 0b01
+    unit.entries[0x42][1] = 0b01
     assert unit.predict(0x42, 0).direction is False
-    unit.update(0x42, False)  # LHR = 0b10
+    unit.entries[0x42][1] = 0b10
     assert unit.predict(0x42, 0).direction is True
+    # over a trace the LHR starts at 0 and shifts in the PC's own outcomes
+    hit, direction = unit.directions(np.array([True, False, False]), np.zeros(3, np.int32), [0x42])
+    assert hit.tolist() == [True] * 3
+    assert direction.tolist() == [False, False, True]
 
 
 def test_slbiu_update_misses_are_no_ops():
-    unit = make_slbiu([SparsityHint(0x42, 0.0, [(0, 1.0)], Q3_4)])
-    unit.update(0x99, True)  # not resident
-    assert unit.entries[0x42][1] == 0
+    # outcomes of a PC without a hint never shift a resident PC's LHR
+    unit = make_slbiu([SparsityHint(0x42, 0.0, [(8, 1.0)], Q3_4)])  # LHR bit 0
+    taken = np.array([True, False, True, False])
+    ids = np.array([1, 0, 1, 0], dtype=np.int32)  # 0x99, 0x42, 0x99, 0x42
+    hit, direction = unit.directions(taken, ids, [0x42, 0x99])
+    assert hit.tolist() == [False, True, False, True]
+    assert direction.tolist() == [False] * 4
 
 
 def test_slbiu_capacity():
@@ -80,7 +115,7 @@ def test_slbiu_capacity():
 def test_slbiu_load_resets_lhr():
     hint = SparsityHint(0x42, 0.0, [(0, 1.0)], Q3_4)
     unit = make_slbiu([hint])
-    unit.update(0x42, True)
+    unit.entries[0x42][1] = 0b1
     unit.load(HintSet("", unit.config, [hint]))
     assert unit.entries[0x42][1] == 0
 
@@ -120,8 +155,7 @@ def test_slbiu_fp32_global_and_local_terms():
     unit = make_slbiu([hint], lh=4, gh=8, q=32)
     assert unit.predict(0x42, 0b00).direction is False  # -0.25 - 0.5 - 0.75
     assert unit.predict(0x42, 0b10).direction is False  # -0.25 + 0.5 - 0.75
-    unit.update(0x42, True)
-    unit.update(0x42, False)  # LHR = 0b10
+    unit.entries[0x42][1] = 0b10
     assert unit.predict(0x42, 0b00).direction is True  # -0.25 - 0.5 + 0.75 = 0
     assert unit.predict(0x42, 0b10).direction is True  # -0.25 + 0.5 + 0.75
 
@@ -156,6 +190,9 @@ def test_tage_config_validation():
     with pytest.raises(ValueError):
         TageLiteConfig(num_tables=3, history_lengths=(4, 8))
     assert TageLiteConfig(num_tables=3).history_lengths == (4, 8, 16)
+    for bad in ({"table_entries": 0}, {"base_entries": 0}, {"tag_bits": 33}):
+        with pytest.raises(ValueError):
+            TageLiteConfig(**bad)
 
 
 def test_tage_allocates_on_misprediction():

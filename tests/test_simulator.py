@@ -1,8 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbp.errors import ConfigError
 from sbp.history import HistoryConfig
-from sbp.hints import Q3_4, HintSet, SlbiuConfig, SparsityHint, empty_hintset
+from sbp.hints import (
+    FP32_WIDTH,
+    Q3_4,
+    Q3_12,
+    HintSet,
+    SlbiuConfig,
+    SparsityHint,
+    empty_hintset,
+)
 from sbp.predictors import TageLiteConfig
 from sbp.simulator import (
     SimConfig,
@@ -20,6 +30,7 @@ from sbp.trace_io import (
     gen_loop,
 )
 from tests.conftest import random_trace
+from tests.reference_predictors import run as reference_run
 
 
 def sim_config(gh=10, lh=4, **kw):
@@ -82,6 +93,11 @@ def test_unknown_baseline_rejected():
         run(random_trace(10), sim_config(baseline="perceptron"))
 
 
+def test_snapshot_interval_must_be_positive():
+    with pytest.raises(ConfigError):
+        run(random_trace(10), sim_config(snapshot_interval=0))
+
+
 def test_tage_baseline_runs():
     cfg = SimConfig(
         history=HistoryConfig(32, 4),
@@ -138,3 +154,125 @@ def test_scurve_csv_render():
     lines = csv.strip().split("\n")
     assert lines[0].startswith("name,baseline_mpki")
     assert lines[1].split(",")[0] == "t"
+
+
+PC_POOL = (0x400000, 0x400004, 0x2000, 2**64 - 4, 7)
+ABSENT_PC = 0x999  # never in a generated trace
+
+
+@st.composite
+def sim_traces(draw):
+    """Traces of runs of one PC, so that hint-covered blocks occur."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(PC_POOL), st.integers(1, 12)), max_size=24))
+    pcs = [pc for pc, count in runs for _ in range(count)]
+    n = len(pcs)
+    taken = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return Trace(pcs, taken, gaps, phase_id="prop")
+
+
+def _weight(draw, qspec):
+    if qspec is None:
+        return draw(st.one_of(
+            st.sampled_from([0.25, -0.25, 0.5, -0.75, 1.0]),
+            st.floats(-8.0, 8.0, allow_nan=False, width=32),
+        ))
+    fraction = qspec.fraction_bits
+    limit = 1 << (qspec.integer_bits + fraction)
+    return draw(st.integers(-limit, limit - 1)) / (1 << fraction)
+
+
+@st.composite
+def hint_sets(draw, gh):
+    """Hint sets for a simulator with GHR length gh: Q3.4, Q3.12 or fp32
+    weights, over PCs of the trace's pool and one PC outside it."""
+    qspec = draw(st.sampled_from([Q3_4, Q3_12, None]))
+    hgh = draw(st.integers(0, gh))
+    hlh = draw(st.integers(0, 20))
+    pcs = draw(st.lists(st.sampled_from(PC_POOL + (ABSENT_PC,)), max_size=4, unique=True))
+    hints = []
+    for pc in pcs:
+        idxs = draw(st.lists(st.integers(0, max(hgh + hlh - 1, 0)), max_size=6, unique=True))
+        if hgh + hlh == 0:
+            idxs = []
+        entries = [(j, w) for j in sorted(idxs) if (w := _weight(draw, qspec)) != 0.0]
+        hints.append(SparsityHint(pc, _weight(draw, qspec), entries, qspec))
+    cap = max((h.nnz for h in hints), default=0)
+    q = FP32_WIDTH if qspec is None else qspec.q
+    return HintSet("prop", SlbiuConfig(lh=hlh, gh=hgh, n=len(hints), nnz=cap, q=q), hints)
+
+
+@st.composite
+def sim_cases(draw, baseline):
+    trace = draw(sim_traces())
+    gh = draw(st.integers(0, 130))
+    history = HistoryConfig(gh, draw(st.integers(0 if gh else 1, 20)))
+    if baseline == "gshare":
+        config = SimConfig(history=history, gshare_index_bits=draw(st.integers(0, 14)))
+    else:
+        lengths = draw(st.lists(st.integers(0, gh), min_size=1, max_size=4, unique=True))
+        config = SimConfig(
+            history=history,
+            baseline="tage_lite",
+            tage=TageLiteConfig(
+                num_tables=len(lengths),
+                table_entries=draw(st.integers(1, 40)),
+                tag_bits=draw(st.integers(0, 10)),
+                base_entries=draw(st.integers(1, 16)),
+                history_lengths=tuple(sorted(lengths)),
+            ),
+            snapshot_interval=draw(st.integers(1, 60)),
+        )
+    hintset = draw(st.none() | hint_sets(gh))
+    correct_from = draw(st.integers(-3, len(trace) + 3))
+    return trace, config, hintset, correct_from
+
+
+def test_snapshot_on_all_hit_block():
+    # the hint answers records 3-5 whole, and the snapshot after them still
+    # counts: pc 1 allocates before and after it
+    trace = Trace([1, 1, 1, 2, 2, 2, 1, 1, 1, 1],
+                  [False, False, True, True, False, True, False, True, True, False])
+    config = SimConfig(
+        history=HistoryConfig(8, 2),
+        baseline="tage_lite",
+        tage=TageLiteConfig(num_tables=1, table_entries=4, history_lengths=(2,)),
+        snapshot_interval=3,
+    )
+    hs = HintSet("", SlbiuConfig(lh=0, gh=2, n=1, nnz=0, q=8), [SparsityHint(2, 1.0, [], Q3_4)])
+    report = run(trace, config, hs)
+    assert report.to_json() == reference_run(trace, config, hs).to_json()
+    assert report.per_branch[2].slbiu_hits == 3
+
+
+@settings(max_examples=250, deadline=None)
+@given(sim_cases("gshare"))
+def test_gshare_run_equals_per_record_reference(case):
+    assert run(*case).to_json() == reference_run(*case).to_json()
+
+
+@settings(max_examples=250, deadline=None)
+@given(sim_cases("tage_lite"))
+def test_tage_lite_run_equals_per_record_reference(case):
+    assert run(*case).to_json() == reference_run(*case).to_json()
+
+
+@pytest.mark.parametrize("baseline", ["gshare", "tage_lite"])
+@pytest.mark.parametrize("qspec", [Q3_4, Q3_12, None])
+def test_correlated_run_equals_per_record_reference(baseline, qspec):
+    # a longer trace than the property tests draw: many blocks, snapshots on
+    # hit and miss records, and hints on B and one noise branch (two records
+    # in every five)
+    trace = gen_correlated(SyntheticScenario(kind="correlated", length=20_000, seed=4,
+                                             noise_branches=3))
+    config = SimConfig(history=HistoryConfig(40, 6), baseline=baseline,
+                       snapshot_interval=777)
+    weight = {Q3_4: 2.0, Q3_12: 0.000244140625, None: 0.3}[qspec]
+    bias = -0.5 if qspec is None else -0.0625
+    hints = [SparsityHint(PC_B, 0.0, [(8, weight)], qspec),
+             SparsityHint(0x1100, bias, [(1, weight), (41, weight)], qspec)]
+    q = FP32_WIDTH if qspec is None else qspec.q
+    hs = HintSet("c", SlbiuConfig(lh=6, gh=40, n=2, nnz=2, q=q), hints)
+    for hintset in (None, hs):
+        assert run(trace, config, hintset, 100).to_json() == reference_run(
+            trace, config, hintset, 100).to_json()

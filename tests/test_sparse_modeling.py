@@ -10,6 +10,7 @@ from sbp.history import HistoryConfig, TrainingDataset, collect_dataset
 from sbp.sparse_modeling import (
     BranchScreen,
     SolverConfig,
+    SparseModel,
     correct_count,
     dump_model,
     eval_accuracy,
@@ -17,7 +18,6 @@ from sbp.sparse_modeling import (
     kkt_violation,
     lambda_search,
     objective,
-    parse_model,
     predictions,
     screen,
 )
@@ -125,6 +125,20 @@ def test_screen():
     assert not screen(rare, cfg)
     biased = bernoulli_dataset(200, 3, lambda row: True, seed=7)
     assert not screen(biased, cfg)
+
+
+def parse_model(text):
+    """Reads the text that dump_model writes."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    pc, bias, lam, acc, m = lines[0].split()
+    weights = {}
+    for ln in lines[1:]:
+        j, v = ln.split()
+        weights[int(j)] = float(v)
+    return SparseModel(
+        pc=int(pc), bias=float(bias), weights=weights, lam=float(lam),
+        accuracy=float(acc), m=int(m),
+    )
 
 
 def test_dump_parse_round_trip():
