@@ -30,7 +30,7 @@ from .hints import (
     select,
     storage_bits,
 )
-from .online_sgd import OnlineConfig, OnlineModel, adapt_lambda, online_predict, online_update, run_online
+from .online_sgd import OnlineConfig, run_online
 from .predictors import Gshare, Prediction, Slbiu, TageLite, TageLiteConfig
 from .simulator import SimConfig, SimReport, report_scurve, run, run_pipeline
 from .sparse_modeling import (

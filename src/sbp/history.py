@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+GATHER_ROWS = 128  # sample rows gathered at a time, bounding the temporaries
+
 
 @dataclass(frozen=True)
 class HistoryConfig:
@@ -58,48 +60,57 @@ class TrainingDataset:
         return float(self.y.mean()) if self.m else 0.0
 
 
-def iter_datasets(trace, config, targets=None):
-    """Yield one TrainingDataset per PC with samples after warmup, in the
-    order of each PC's first post-warmup record.
-
-    Samples start after the warmup point of gh+lh retired branch records
-    (targets=None collects every PC); each PC's rows are in trace order.
-    """
+def sample_rows(trace, config, targets=None):
+    """(branches, rows): (pc, m) per target (targets=None: every PC) with m > 0
+    samples after the warmup of gh+lh records, in the order of each PC's first
+    sampled record; rows(i, t, out) writes the feature rows of samples t of
+    branches i (integer arrays that broadcast together) into out and returns
+    their outcomes."""
     gh, lh = config.gh, config.lh
-    warmup = gh + lh
-    if len(trace) <= warmup:
-        return
     pcs, ids = trace.pc_ids()
     pm1 = trace.taken.view(np.int8) * 2 - 1
-    order = np.argsort(ids, kind="stable")  # positions grouped by id, ascending within
-    starts = np.searchsorted(ids, np.arange(1, len(pcs), dtype=ids.dtype), sorter=order)
-    per_pc = np.split(order, starts)
-    del ids
-    groups = []  # (first sampled position, pc, positions, first sampled occurrence)
-    for pc, positions in zip(pcs, per_pc):
-        k0 = int(np.searchsorted(positions, warmup))
-        if k0 < len(positions) and (targets is None or pc in targets):
-            groups.append((int(positions[k0]), pc, positions, k0))
-    groups.sort(key=lambda g: g[0])
-    for _first, pc, positions, k0 in groups:
-        rows = positions[k0:]
-        x = np.empty((len(rows), warmup), dtype=np.int8)
-        # GHR column j of record i is record i-1-j's outcome; i >= warmup >= gh
-        # keeps the index in range. Gathered column by column: one (rows x gh)
-        # fancy index would allocate a temporary as large as the segment.
-        for j in range(gh):
-            x[:, j] = pm1[rows - (j + 1)]
-        # Occurrence k's LHR reads the PC's outcomes k-1, k-2, ..., with lh
-        # not-taken entries standing in before its first occurrence.
-        local = np.concatenate([np.full(lh, -1, dtype=np.int8), pm1[positions]])
-        x[:, gh:] = sliding_window_view(local, lh)[k0 : len(positions), ::-1]
-        yield TrainingDataset(pc, x, pm1[rows] > 0, config)
+    wanted = np.array([targets is None or pc in targets for pc in pcs], dtype=bool)
+    chosen = None if targets is None else np.flatnonzero(wanted[ids])
+    key = ids if chosen is None else ids[chosen]
+    order = np.argsort(key, kind="stable")  # record positions grouped by PC
+    bounds = np.searchsorted(key, np.arange(len(pcs) + 1, dtype=ids.dtype), sorter=order).tolist()
+    order = order if chosen is None else chosen[order]
+    del ids, key
+    groups = []  # (first sampled position, pc, its index in order, its occurrence, samples)
+    for pc, start, stop in zip(pcs, bounds, bounds[1:]):
+        k0 = int(np.searchsorted(order[start:stop], gh + lh))
+        if start + k0 < stop:
+            groups.append((int(order[start + k0]), pc, start + k0, k0, stop - start - k0))
+    groups.sort()
+    first, k0 = np.array([g[2:4] for g in groups], dtype=np.int64).reshape(-1, 2).T
+    # window p: the outcomes before record p (GHR), before order[p] of its PC (LHR)
+    ghr = sliding_window_view(np.concatenate([np.full(gh, -1, np.int8), pm1]), gh)
+    lhr = sliding_window_view(np.concatenate([np.full(lh, -1, np.int8), pm1[order]]), lh)
+
+    def rows(i, t, out):
+        pos = order[first[i] + t]
+        out[..., :gh] = ghr[pos][..., ::-1]
+        out[..., gh:] = lhr[first[i] + t][..., ::-1]
+        # LHR entries older than the PC's first occurrence stand in as not taken
+        out[..., gh:][np.arange(lh) >= (k0[i] + t)[..., None]] = -1
+        return pm1[pos] > 0
+
+    return [(g[1], g[4]) for g in groups], rows
 
 
 def collect_datasets(trace, config, targets=None):
     """{pc: TrainingDataset} of (features before update, outcome) samples for
-    every target seen after warmup; see iter_datasets."""
-    return dict((ds.target_pc, ds) for ds in iter_datasets(trace, config, targets))
+    every target seen after warmup, in the order of each PC's first sampled
+    record; see sample_rows."""
+    branches, rows = sample_rows(trace, config, targets)
+    datasets = {}
+    for i, (pc, m) in enumerate(branches):
+        x, y = np.empty((m, config.l), dtype=np.int8), np.empty(m, dtype=bool)
+        for s in range(0, m, GATHER_ROWS):
+            t = np.arange(s, min(s + GATHER_ROWS, m))
+            y[t] = rows(i, t, x[s : s + GATHER_ROWS])
+        datasets[pc] = TrainingDataset(pc, x, y, config)
+    return datasets
 
 
 def collect_dataset(trace, config, target_pc):

@@ -1,11 +1,17 @@
 """Online sparse linear modeling: logistic SGD with cumulative L1 penalty
-(clip-at-zero), plus adaptive lambda keeping the non-zero weight count capped."""
+(clip-at-zero), plus adaptive lambda keeping the non-zero weight count capped.
+
+Each branch's model sees only its own samples, so step t updates the t-th
+sample of every branch at once, one row per branch. Each row repeats the
+per-sample arithmetic operation for operation (`w.x` is one dot product per
+row, by a batched matmul): the results are those of one branch at a time.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .history import iter_datasets
+from .history import GATHER_ROWS, sample_rows
 
 
 @dataclass
@@ -20,72 +26,8 @@ class OnlineConfig:
     def __post_init__(self):
         if not self.lambda_min <= self.lambda_init <= self.lambda_max:
             raise ValueError("lambda_init must lie within [lambda_min, lambda_max]")
-
-
-@dataclass
-class OnlineModel:
-    pc: int
-    weights: np.ndarray  # dense, length l
-    bias: float = 0.0
-    u: float = 0.0  # cumulative penalty available so far
-    q_vec: np.ndarray = None  # per-weight penalty already applied
-    lam: float = 0.01
-    eta: float = 0.05
-    update_count: int = 0
-
-    @classmethod
-    def fresh(cls, pc, l, config):
-        return cls(
-            pc=pc,
-            weights=np.zeros(l),
-            q_vec=np.zeros(l),
-            lam=config.lambda_init,
-            eta=config.eta,
-        )
-
-    @property
-    def nnz(self):
-        return int(np.count_nonzero(self.weights))
-
-
-def online_predict(model, x):
-    """taken iff bias + w.x >= 0."""
-    return model.bias + float(model.weights @ x) >= 0.0
-
-
-def online_update(model, x, y):
-    """One SGD-L1 step: logistic gradient, then cumulative-penalty clipping.
-
-    Weights crossing zero are clipped to exact zero; q_vec records the
-    shrinkage actually applied so the total penalty tracks u. With lam = 0 this
-    is plain logistic SGD.
-    """
-    xd = x.astype(np.float64)
-    z = model.bias + float(model.weights @ xd)
-    g = 1.0 / (1.0 + np.exp(-z)) - (1.0 if y else 0.0)
-    model.weights -= model.eta * g * xd
-    model.bias -= model.eta * g
-    model.u += model.eta * model.lam
-    if model.lam > 0.0:
-        w = model.weights
-        before = w.copy()
-        pos = w > 0
-        neg = w < 0
-        w[pos] = np.maximum(0.0, w[pos] - (model.u + model.q_vec[pos]))
-        w[neg] = np.minimum(0.0, w[neg] + (model.u - model.q_vec[neg]))
-        model.q_vec += w - before
-    model.update_count += 1
-    return model
-
-
-def adapt_lambda(model, config):
-    """Double lambda above the nnz cap, halve it below half the cap (hysteresis)."""
-    nnz = model.nnz
-    if nnz > config.nnz_cap:
-        model.lam = min(model.lam * 2.0, config.lambda_max)
-    elif nnz <= config.nnz_cap // 2:
-        model.lam = max(model.lam / 2.0, config.lambda_min)
-    return model
+        if self.lambda_init > 0.0 >= self.lambda_min:  # halving would reach 0
+            raise ValueError("lambda_min must be positive when lambda_init is")
 
 
 @dataclass
@@ -96,34 +38,76 @@ class OnlineResult:
     nnz_avg: float
     nnz_samples: list = field(default_factory=list)
     final_lambda: float = 0.0
+    model: tuple = ()  # final (weights, bias, u, q_vec) of the penalty bookkeeping
 
 
 def run_online(trace, history, target_pcs=None, config=None):
     """Predict each post-warmup occurrence of every target before updating its
-    per-branch online model. Models see their own branch's samples in trace
-    order, so the branches are replayed one after another; nnz is sampled (and
-    lambda adapted) every adaptation_interval updates. Returns {pc:
-    OnlineResult} in the order of each branch's first post-warmup occurrence."""
+    per-branch online model; nnz is sampled (and lambda adapted) every
+    adaptation_interval updates. Returns {pc: OnlineResult} in the order of
+    each branch's first post-warmup occurrence."""
     config = config or OnlineConfig()
+    branches, rows = sample_rows(trace, history, target_pcs)
+    rank = np.array(sorted(range(len(branches)), key=lambda i: -branches[i][1]), dtype=np.int64)
+    m = np.array([branches[i][1] for i in rank])  # row r is branch rank[r]: by sample count
+    n, l, cap = len(m), history.l, config.nnz_cap
+    # u and eta*lam repeat across a row's columns and the bias is negated,
+    # so that each update is one elementwise operation on equal shapes.
+    w, q, u, eta_lam = np.zeros((4, n, l))
+    neg_bias, lam = np.zeros(n), np.full(n, config.lambda_init, dtype=np.float64)
+    eta_lam[:] = config.eta * config.lambda_init
+    misp, samples = np.zeros(n, dtype=np.int64), []  # nnz of the live rows, per adaptation
+    buf, t0 = np.empty(max(GATHER_ROWS, n) * l), 0
+    while n and t0 < m[0]:
+        k = int(np.count_nonzero(m > t0))  # live at t0, and through t0 + steps - 1
+        steps = max(1, min(GATHER_ROWS // k, m[k - 1] - t0))
+        x = buf[: steps * k * l].reshape(steps, k, l)
+        y = rows(rank[:k], np.arange(t0, t0 + steps)[:, None], x)
+        wk, qk, uk, elk, nbk, lk = w[:k], q[:k], u[:k], eta_lam[:k], neg_bias[:k], lam[:k]
+        w3, nz, g = wk[:, None, :], np.empty((steps, k)), np.empty(k)
+        ones, eta, gx = np.ones(k), np.full(k, config.eta), np.empty((k, l))
+        sgn, new, zero = *np.empty((2, k, l)), np.zeros((k, l))
+        clipped = np.empty((k, l), dtype=bool)
+        per_step = zip(x, x[..., None], nz, nz[..., None, None], y.view(np.int8).astype(np.float64))
+        for step, (x1, x3, z1, z3, y1) in enumerate(per_step, t0 + 1):
+            np.matmul(w3, x3, z3)
+            np.subtract(nbk, z1, z1)  # -z = -bias - w.x
+            np.exp(z1, g)  # g = eta * (sigmoid(z) - y)
+            np.add(g, ones, g)
+            np.divide(ones, g, g)
+            np.subtract(g, y1, g)
+            np.multiply(g, eta, g)
+            gx[...] = g[:, None]
+            np.multiply(gx, x1, gx)
+            np.subtract(wk, gx, wk)
+            np.add(nbk, g, nbk)
+            np.add(uk, elk, uk)
+            if config.lambda_init > 0.0:  # then lam stays > 0 (OnlineConfig); else plain SGD
+                # Clip at zero: w > 0 to max(0, w - (u + q)), w < 0 to min(0, w + (u - q)),
+                # as w - s*(u + s*q), s = sign(w), which rounds the same; q adds the shrinkage.
+                np.sign(wk, sgn)
+                np.multiply(sgn, qk, new)
+                np.add(new, uk, new)
+                np.multiply(new, sgn, new)
+                np.subtract(wk, new, new)
+                np.multiply(sgn, new, sgn)
+                np.less_equal(sgn, zero, clipped)  # crossed zero, or was zero
+                new[clipped] = 0.0
+                np.subtract(new, wk, sgn)
+                np.add(qk, sgn, qk)
+                wk[...] = new
+            if step % config.adaptation_interval == 0:
+                nnz = np.count_nonzero(wk, axis=1)
+                samples.append(nnz.tolist())
+                lk[:] = np.where(nnz > cap, np.minimum(lk * 2.0, config.lambda_max), np.where(
+                    nnz <= cap // 2, np.maximum(lk / 2.0, config.lambda_min), lk))
+                elk[:] = (config.eta * lk)[:, None]
+        misp[:k] += np.count_nonzero((nz <= 0.0) != y, axis=0)
+        t0 += steps
     results = {}
-    for ds in iter_datasets(trace, history, target_pcs):
-        model = OnlineModel.fresh(ds.target_pc, history.l, config)
-        mispredictions = 0
-        samples = []
-        for x, taken in zip(ds.x, ds.y.tolist()):
-            if online_predict(model, x) != taken:
-                mispredictions += 1
-            online_update(model, x, taken)
-            if model.update_count % config.adaptation_interval == 0:
-                samples.append(model.nnz)
-                adapt_lambda(model, config)
-        samples = samples or [model.nnz]
-        results[ds.target_pc] = OnlineResult(
-            pc=ds.target_pc,
-            occurrences=ds.m,
-            mispredictions=mispredictions,
-            nnz_avg=sum(samples) / len(samples),
-            nnz_samples=samples,
-            final_lambda=model.lam,
-        )
+    for r in sorted(range(n), key=rank.__getitem__):  # first-sample order
+        nnz = [at[r] for at in samples if r < len(at)] or [int(np.count_nonzero(w[r]))]
+        pc, mean = branches[rank[r]][0], sum(nnz) / len(nnz)
+        results[pc] = OnlineResult(pc, int(m[r]), int(misp[r]), mean, nnz, float(lam[r]),
+                                   (w[r], -float(neg_bias[r]), float(u[r, 0]), q[r]))
     return results

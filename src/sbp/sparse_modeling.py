@@ -8,11 +8,11 @@ recomputed exactly), so the true objective is non-increasing across outer
 iterations; this is asserted in debug mode.
 
 Feature layout: datasets store their features as a row-major int8 matrix.
-Each `fit` call builds one column-major float64 copy of it, so that the
-gradient `X.T @ r` and every coordinate step read one contiguous float64
-column. Scores (`b + x @ w`) are computed from the int8 matrix, not from the
-copy: a matrix-vector product over the column-major copy sums in another
-order and can differ in the last bits.
+`fit` reads one column-major float64 copy of it, built once per
+`lambda_search` for all its probes, so that the gradient `X.T @ r` and every
+coordinate step read one contiguous float64 column. Scores (`b + x @ w`) are
+computed from the int8 matrix, not from the copy: a matrix-vector product
+over the column-major copy sums in another order and can differ in the last bits.
 """
 
 import math
@@ -97,16 +97,16 @@ def objective(z, y, w, lam, alpha):
     return loss + pen
 
 
-def fit(dataset, lam, alpha, config):
+def fit(dataset, lam, alpha, config, columns=None):
     """Minimize (1/m) sum logistic(y_i, f(x_i)) + lam*(alpha*|w|_1 + (1-alpha)/2*|w|_2^2).
 
     Bias is unpenalized. Weights with |w| < 10*tolerance are truncated to exact
-    zero on return.
+    zero on return. `columns`: a column-major float64 copy of dataset.x, if any.
     """
     m = dataset.m
     if m < 1:
         raise ValueError("fit requires at least one sample")
-    X = np.asfortranarray(dataset.x, dtype=np.float64)
+    X = np.asfortranarray(dataset.x, dtype=np.float64) if columns is None else columns
     y = dataset.y.astype(np.float64)
     l = X.shape[1]
     h = CURVATURE
@@ -186,9 +186,10 @@ def lambda_search(dataset, config):
     lo = math.log(config.lambda_min)
     hi = math.log(config.lambda_max)
     probes = []
+    columns = np.asfortranarray(dataset.x, dtype=np.float64)
     for _ in range(LAMBDA_PROBES):
         mid = (lo + hi) / 2.0
-        model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config)
+        model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config, columns)
         probes.append(model)
         if model.accuracy >= config.accuracy_stop:
             lo = mid

@@ -23,6 +23,7 @@ GAP_ESCAPE = 255
 _HEADER = struct.Struct("<4sHHQ")
 _RECORD = np.dtype([("pc", "<u8"), ("flags", "u1"), ("gap", "u1")])  # 10 bytes, packed
 _RSIZE = _RECORD.itemsize
+_ID_BLOCK = 8192  # records per block of Trace.pc_ids
 
 
 @dataclass
@@ -57,7 +58,10 @@ class Trace:
         """Distinct PCs as ascending ints, and each record's int32 index into them."""
         pcs = np.sort(self.pc)  # not np.unique, whose first call imports numpy.ma (~1 MB)
         pcs = np.concatenate([pcs[:1], pcs[1:][pcs[1:] != pcs[:-1]]])
-        return pcs.tolist(), np.searchsorted(pcs, self.pc).astype(np.int32)
+        ids = np.empty(len(self), dtype=np.int32)
+        for s in range(0, len(self), _ID_BLOCK):  # no int64 index column spans the trace
+            ids[s : s + _ID_BLOCK] = np.searchsorted(pcs, self.pc[s : s + _ID_BLOCK])
+        return pcs.tolist(), ids
 
 
 def _gap_mask(size, starts):

@@ -9,14 +9,6 @@ with sliding windows; these loops are the oracle the tests compare it with.
 import numpy as np
 
 from sbp.history import TrainingDataset, ints_to_pm1
-from sbp.online_sgd import (
-    OnlineConfig,
-    OnlineModel,
-    OnlineResult,
-    adapt_lambda,
-    online_predict,
-    online_update,
-)
 
 
 def replay(trace, config, targets=None):
@@ -52,37 +44,3 @@ def reference_collect_datasets(trace, config, targets=None):
         pc: TrainingDataset(pc, features(g, l, config), np.array(ys, dtype=bool), config)
         for pc, (g, l, ys) in raw.items()
     }
-
-
-def reference_run_online(trace, history, target_pcs=None, config=None):
-    """Interleaved per-record online replay: every target's model advances
-    as its records come up in the trace."""
-    config = config or OnlineConfig()
-    models, misp, samples = {}, {}, {}
-    for pc, ghr, lhr, taken in replay(trace, history, target_pcs):
-        model = models.get(pc)
-        if model is None:
-            model = models[pc] = OnlineModel.fresh(pc, history.l, config)
-            misp[pc] = 0
-            samples[pc] = []
-        x = np.concatenate(
-            [ints_to_pm1([ghr], history.gh)[0], ints_to_pm1([lhr], history.lh)[0]]
-        )
-        if online_predict(model, x) != taken:
-            misp[pc] += 1
-        online_update(model, x, taken)
-        if model.update_count % config.adaptation_interval == 0:
-            samples[pc].append(model.nnz)
-            adapt_lambda(model, config)
-    results = {}
-    for pc, model in models.items():
-        ss = samples[pc] or [model.nnz]
-        results[pc] = OnlineResult(
-            pc=pc,
-            occurrences=model.update_count,
-            mispredictions=misp[pc],
-            nnz_avg=sum(ss) / len(ss),
-            nnz_samples=ss,
-            final_lambda=model.lam,
-        )
-    return results

@@ -1,22 +1,29 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbp.history import HistoryConfig
-from sbp.online_sgd import (
-    OnlineConfig,
+from sbp.history import HistoryConfig, collect_datasets
+from sbp.online_sgd import OnlineConfig, run_online
+from sbp.trace_io import (
+    PC_B,
+    PC_LOOP,
+    SyntheticScenario,
+    Trace,
+    gen_correlated,
+    gen_loop,
+    gen_utilization,
+)
+from tests.reference_online import (
     OnlineModel,
     adapt_lambda,
-    online_predict,
     online_update,
-    run_online,
+    reference_run_online,
 )
-from sbp.trace_io import PC_B, PC_LOOP, SyntheticScenario, gen_correlated, gen_loop
-from tests.reference_history import reference_run_online
 from tests.test_history import traces_and_configs
 
 
@@ -95,6 +102,9 @@ def test_adapt_lambda_bounds():
 def test_online_config_validation():
     with pytest.raises(ValueError):
         OnlineConfig(lambda_init=1.0, lambda_max=0.1)
+    with pytest.raises(ValueError):  # halving would take lambda to 0
+        OnlineConfig(lambda_init=0.01, lambda_min=0.0)
+    OnlineConfig(lambda_init=0.0, lambda_min=0.0)
 
 
 def test_run_online_learns_loop():
@@ -120,17 +130,9 @@ def test_run_online_target_filter_and_counts():
     assert b.mispredictions < 0.1 * b.occurrences
 
 
-@settings(max_examples=60, deadline=None)
-@given(traces_and_configs(max_len=300), st.sampled_from([1, 3, 1000]),
-       st.sampled_from([0.05, 0.5]))
-def test_run_online_equals_interleaved_replay(case, interval, eta):
-    """Replaying one branch after another gives the per-record interleaved
-    replay's results exactly: same branches in the same order, same counts,
-    nnz samples and final lambda."""
-    trace, history, targets = case
-    config = OnlineConfig(eta=eta, nnz_cap=4, adaptation_interval=interval)
-    got = run_online(trace, history, target_pcs=targets, config=config)
-    want = reference_run_online(trace, history, target_pcs=targets, config=config)
+def assert_same_results(got, want):
+    """Same branches in the same order, same counts, nnz samples and final
+    lambda, and bit for bit the same final weights, bias, u and q."""
     assert list(got) == list(want)
     for pc, r in got.items():
         ref = want[pc]
@@ -138,6 +140,68 @@ def test_run_online_equals_interleaved_replay(case, interval, eta):
         assert r.nnz_samples == ref.nnz_samples
         assert r.nnz_avg == ref.nnz_avg
         assert r.final_lambda == ref.final_lambda
+        (w, bias, u, q), (ref_w, ref_bias, ref_u, ref_q) = r.model, ref.model
+        assert w.tobytes() == ref_w.tobytes()
+        assert q.tobytes() == ref_q.tobytes()
+        assert (bias.hex(), u.hex()) == (ref_bias.hex(), ref_u.hex())
+
+
+CONFIGS = st.sampled_from([
+    dict(lambda_init=0.01),
+    dict(lambda_init=0.05, lambda_min=0.01),
+    dict(lambda_init=0.0, lambda_min=0.0),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces_and_configs(max_len=300), st.sampled_from([1, 3, 1000]),
+       st.sampled_from([0.05, 0.5]), CONFIGS)
+def test_run_online_equals_interleaved_replay(case, interval, eta, lam):
+    """The lockstep replay gives the per-record interleaved replay's results
+    exactly, including lambda_init = 0 (plain SGD)."""
+    trace, history, targets = case
+    config = OnlineConfig(eta=eta, nnz_cap=4, adaptation_interval=interval, **lam)
+    got = run_online(trace, history, target_pcs=targets, config=config)
+    want = reference_run_online(trace, history, target_pcs=targets, config=config)
+    assert_same_results(got, want)
+
+
+@st.composite
+def multi_pc_traces(draw):
+    """Up to 1500 records over 2-6 PCs of unequal frequency. Each PC's outcome
+    repeats an earlier record's, flipped with a PC-specific noise rate, so
+    that weights grow, cross zero and get clipped."""
+    n_pcs = draw(st.integers(2, 6))
+    freq = draw(st.lists(st.integers(1, 12), min_size=n_pcs, max_size=n_pcs))
+    length = draw(st.integers(200, 1500))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lags = [rng.randrange(1, 9) for _ in range(n_pcs)]
+    noise = [rng.choice([0.0, 0.05, 0.3, 0.5]) for _ in range(n_pcs)]
+    pcs = rng.choices(range(n_pcs), weights=freq, k=length)
+    taken = []
+    for i, p in enumerate(pcs):
+        earlier = taken[i - lags[p]] if i >= lags[p] else rng.random() < 0.5
+        taken.append(earlier != (rng.random() < noise[p]))
+    gh = draw(st.integers(0, 12))
+    lh = draw(st.integers(0 if gh else 1, 6))
+    return Trace([0x400 + 4 * p for p in pcs], taken), HistoryConfig(gh, lh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_pc_traces(), st.data())
+def test_lockstep_equals_interleaved_replay_on_long_traces(case, data):
+    """Branches with unequal sample counts leave the lockstep at different
+    steps; an adaptation interval equal to one branch's sample count adapts
+    lambda on that branch's last update."""
+    trace, history = case
+    counts = sorted({ds.m for ds in collect_datasets(trace, history).values()})
+    interval = data.draw(st.sampled_from(counts + [1, 50]), label="interval")
+    lam = data.draw(CONFIGS, label="lambda")
+    eta = data.draw(st.sampled_from([0.05, 0.5]), label="eta")
+    config = OnlineConfig(eta=eta, nnz_cap=data.draw(st.integers(1, 6)),
+                          adaptation_interval=interval, **lam)
+    got = run_online(trace, history, config=config)
+    assert_same_results(got, reference_run_online(trace, history, config=config))
 
 
 def test_run_online_equals_interleaved_replay_on_correlated_trace():
@@ -145,10 +209,23 @@ def test_run_online_equals_interleaved_replay_on_correlated_trace():
         SyntheticScenario(kind="correlated", length=8_000, seed=3, noise_branches=3)
     )
     history = HistoryConfig(19, 4)
-    got = run_online(trace, history)
-    want = reference_run_online(trace, history)
-    assert list(got) == list(want)
-    for pc, r in got.items():
-        assert (r.occurrences, r.mispredictions, r.nnz_samples, r.final_lambda) == (
-            want[pc].occurrences, want[pc].mispredictions,
-            want[pc].nnz_samples, want[pc].final_lambda)
+    assert_same_results(run_online(trace, history), reference_run_online(trace, history))
+
+
+def test_run_online_never_holds_every_branch_rows():
+    """The lockstep gathers a few rows of every branch at a time: its peak
+    stays below the int8 feature matrices of all 20 branches together."""
+    trace, _ = gen_utilization(SyntheticScenario(kind="utilization", length=20_000, seed=5))
+    history = HistoryConfig(64, 16)
+    datasets = collect_datasets(trace, history)
+    assert len(datasets) == 20
+    all_rows = sum(ds.x.nbytes for ds in datasets.values())
+    del datasets
+    run_online(trace, history)  # first call: imports and lazy set-up
+    tracemalloc.start()
+    try:
+        run_online(trace, history)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_rows
