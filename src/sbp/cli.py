@@ -297,11 +297,11 @@ def _cmd_pipeline(args):
         history=history,
         sim_config=sim_config,
         screen_cfg=BranchScreen(min_occurrences=args.min_occurrences),
-        out_dir=out_dir,
     )
     summary = []
     for res in results:
         name = res.trace.phase_id or "phase"
+        encode_hintset(res.hintset, out_dir / f"{name}.sbph")
         (out_dir / f"{name}.baseline.json").write_text(res.baseline_report.to_json())
         (out_dir / f"{name}.coupled.json").write_text(res.coupled_report.to_json())
         summary.append(
@@ -421,10 +421,7 @@ def dispatch(argv):
     except ConfigError as e:
         print(f"sbp: {e}", file=sys.stderr)
         return 2
-    except SbpError as e:
-        print(f"sbp: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (SbpError, OSError, ValueError) as e:
         print(f"sbp: {e}", file=sys.stderr)
         return 1
 

@@ -49,16 +49,13 @@ class QuantSpec:
 Q3_4 = QuantSpec(3, 4)
 Q3_12 = QuantSpec(3, 12)
 _SPECS = {"3.4": Q3_4, "3.12": Q3_12, "fp32": None}
+_BY_WIDTH = {FP32_WIDTH if spec is None else spec.q: spec for spec in _SPECS.values()}
 
 
 def _spec_for_width(q):
-    if q == Q3_4.q:
-        return Q3_4
-    if q == Q3_12.q:
-        return Q3_12
-    if q == FP32_WIDTH:
-        return None
-    raise HintFormatError(f"unsupported weight width {q}")
+    if q not in _BY_WIDTH:
+        raise HintFormatError(f"unsupported weight width {q}")
+    return _BY_WIDTH[q]
 
 
 def quantize_value(v, spec):
@@ -174,9 +171,12 @@ class HintSet:
         pcs = [h.pc for h in self.hints]
         if len(set(pcs)) != len(pcs):
             raise ValueError("hint PCs must be distinct")
+        width = self.config.lh + self.config.gh
         for h in self.hints:
             if h.nnz > self.config.nnz:
                 raise ValueError("hint exceeds the nnz cap")
+            if h.entries and not 0 <= h.entries[0][0] <= h.entries[-1][0] < width:
+                raise ValueError(f"hint for pc {h.pc:#x} has an entry index outside [0, {width})")
 
 
 def empty_hintset(lh, gh, q, p=PC_BITS, phase_id=""):
@@ -218,12 +218,10 @@ def select(candidates, policy, budget_bits, p, q, lh, gh, phase_id=""):
         s = score(c, policy)
         if s is not None and s > 0:
             scored.append((s, c))
-    ib = index_bits(lh, gh)
     best = None  # (total_score, n, nnz_cap, chosen)
     max_nnz = max((c.model.nnz for _, c in scored), default=0)
     for cap in range(1, max_nnz + 1):
-        per_hint = p + q + cap * q + cap * ib + lh
-        n = budget_bits // per_hint
+        n = budget_bits // storage_bits(SlbiuConfig(lh=lh, gh=gh, n=1, nnz=cap, q=q, p=p))
         if n == 0:
             continue
         pool = [(s, c) for s, c in scored if c.model.nnz <= cap]
@@ -312,7 +310,7 @@ def encode_hintset(hs, path):
             bw.write(0, cfg.q)
         bw.write(0, cfg.lh)  # reserved runtime LHR image
     for _ in range(cfg.n - len(hs.hints)):  # empty CAM slots
-        bw.write(0, cfg.p + cfg.q + cfg.nnz * (ib + cfg.q) + cfg.lh)
+        bw.write(0, storage_bits(replace(cfg, n=1)))
     assert bw.nbits == storage_bits(cfg)
     phase = hs.phase_id.encode("utf-8")
     if len(phase) > 0xFFFF:
@@ -356,7 +354,7 @@ def decode_hintset(path):
     qspec = _spec_for_width(q)
     ib = index_bits(lh, gh)
     br = _BitReader(payload, payload_bits)
-    hints = []
+    slots = []  # (pc, intercept, entries) of each hint
     for _ in range(n_hints):
         pc = br.read(p)
         intercept = _weight_from_bits(br.read(q), q, qspec)
@@ -367,5 +365,8 @@ def decode_hintset(path):
             if wv != 0.0:
                 entries.append((j, wv))
         br.read(lh)
-        hints.append(SparsityHint(pc, intercept, entries, qspec))
-    return HintSet(phase_id, cfg, hints)
+        slots.append((pc, intercept, entries))
+    try:  # the field widths admit hints that a HintSet rejects
+        return HintSet(phase_id, cfg, [SparsityHint(*slot, qspec) for slot in slots])
+    except ValueError as e:
+        raise HintFormatError(f"{path}: {e}") from None

@@ -5,7 +5,8 @@ retires: the GHR segment first (column j is the outcome of the record j+1
 places back), then the LHR segment (column j is the outcome of the same PC's
 (j+1)-th previous occurrence, not taken while that occurrence does not exist),
 with outcomes mapped to {-1, +1} (taken = +1). Each PC's rows are gathered
-from the trace's outcome column, not replayed record by record.
+from the trace's outcome column, not replayed record by record. `past` is the
+one statement of that layout; the predictors read the same window.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,13 @@ class HistoryConfig:
     @property
     def l(self):
         return self.gh + self.lh
+
+
+def past(col, length, fill):
+    """The (len(col), length) view whose row i, column j is col[i-1-j]: the
+    `length` values before position i, newest first, `fill` before col starts."""
+    padded = np.concatenate([np.full(length, fill, dtype=col.dtype), col])
+    return sliding_window_view(padded, length)[:-1, ::-1]
 
 
 def ints_to_pm1(values, nbits):
@@ -83,14 +91,13 @@ def sample_rows(trace, config, targets=None):
             groups.append((int(order[start + k0]), pc, start + k0, k0, stop - start - k0))
     groups.sort()
     first, k0 = np.array([g[2:4] for g in groups], dtype=np.int64).reshape(-1, 2).T
-    # window p: the outcomes before record p (GHR), before order[p] of its PC (LHR)
-    ghr = sliding_window_view(np.concatenate([np.full(gh, -1, np.int8), pm1]), gh)
-    lhr = sliding_window_view(np.concatenate([np.full(lh, -1, np.int8), pm1[order]]), lh)
+    # row p: the outcomes before record p (GHR), before order[p] of its PC (LHR)
+    ghr, lhr = past(pm1, gh, -1), past(pm1[order], lh, -1)
 
     def rows(i, t, out):
         pos = order[first[i] + t]
-        out[..., :gh] = ghr[pos][..., ::-1]
-        out[..., gh:] = lhr[first[i] + t][..., ::-1]
+        out[..., :gh] = ghr[pos]
+        out[..., gh:] = lhr[first[i] + t]
         # LHR entries older than the PC's first occurrence stand in as not taken
         out[..., gh:][np.arange(lh) >= (k0[i] + t)[..., None]] = -1
         return pm1[pos] > 0

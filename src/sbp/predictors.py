@@ -2,10 +2,11 @@
 
 The shared GHR always advances with the resolved outcome, so it is a function
 of the trace: GHR bit j before record i is the outcome of record i-1-j (bit 0
-is the newest, 1 = taken, 0 before the trace starts). So is every index and
-tag folded from it, and every SLBIU sum. The components therefore read
-columns computed from the trace's outcome column (`fold_history`), and only
-the baseline's counters walk record by record, in trace order.
+is the newest, 1 = taken, 0 before the trace starts), row i of the window
+`history.past(taken, gh, False)`. So is every index and tag folded from it
+(`fold_history`), and every SLBIU sum. The components therefore read columns
+of that window, and only the baseline's counters walk record by record, in
+trace order.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .history import past
 
 
 @dataclass(frozen=True)
@@ -38,22 +40,19 @@ def fold_pcs(pcs, width):
     return out
 
 
-def fold_history(taken, start, stop, lengths, width):
-    """Folded GHR columns over records start..stop-1 of the outcome column.
+def fold_history(ghr, start, stop, lengths, width):
+    """Folded GHR columns over records start..stop-1 of the GHR window `ghr`.
 
-    For each L in `lengths` (ascending) one uint32 column holding
-    fold(ghr & (2^L - 1), width): bit k is the XOR of the outcomes at
-    distances j < L with j % width == k, where the outcome at distance j from
-    record i is that of record i-1-j. Works for any L; width is at most 32.
+    For each L in `lengths` (ascending, at most the window's width) one
+    uint32 column holding fold(ghr & (2^L - 1), width): bit k is the XOR of
+    the GHR bits j < L with j % width == k. width is at most 32.
     """
     out = np.zeros(stop - start, dtype=np.uint32)
     cols = []
     j = 0
     for length in lengths:
         while width and j < length:
-            lo = max(start, j + 1)  # records before j+1 have no outcome at distance j
-            if lo < stop:
-                out[lo - start:] ^= taken[lo - 1 - j:stop - 1 - j].astype(np.uint32) << (j % width)
+            out ^= ghr[start:stop, j].astype(np.uint32) << (j % width)
             j += 1
         cols.append(out.copy())
     return cols
@@ -117,18 +116,17 @@ class Slbiu:
             total += wv if (lhr >> j) & 1 else -wv
         return HIT_TAKEN if total >= 0 else HIT_NOT_TAKEN
 
-    def directions(self, taken, ids, pcs):
+    def directions(self, ghr, taken, ids, pcs):
         """Probe every record of a trace: (hit, direction) bool columns.
 
-        taken is the outcome column, ids each record's index into the distinct
-        `pcs`. A resident PC's LHR starts at zero and shifts in each of its own
+        ghr is the trace's GHR window (at least this unit's gh wide), taken its
+        outcome column, ids each record's index into the distinct `pcs`. A
+        resident PC's LHR starts at zero and shifts in each of its own
         outcomes after its probe. The sums add the same terms in the same
         order as `predict`: fixed-point hints as int64, fp32 hints as float64.
         """
         hit = np.zeros(len(taken), dtype=bool)
         direction = np.zeros(len(taken), dtype=bool)
-        gh, lh = self.config.gh, self.config.lh
-        padded = np.concatenate([np.zeros(gh, dtype=bool), taken])
         for k, pc in enumerate(pcs):
             entry = self.entries.get(pc)
             if entry is None:
@@ -137,11 +135,10 @@ class Slbiu:
             rows = np.flatnonzero(ids == k)
             total = np.full(len(rows), bias)
             for j, wv in ghr_terms:
-                total += np.where(padded[rows + (gh - 1 - j)], wv, -wv)
-            own = np.concatenate([np.zeros(lh, dtype=bool), taken[rows]])
+                total += np.where(ghr[rows, j], wv, -wv)
+            lhr = past(taken[rows], self.config.lh, False)
             for j, wv in lhr_terms:
-                bits = own[lh - 1 - j:lh - 1 - j + len(rows)] if j < lh else False
-                total += np.where(bits, wv, -wv)
+                total += np.where(lhr[:, j], wv, -wv)
             hit[rows] = True
             direction[rows] = total >= 0
         return hit, direction
@@ -156,10 +153,10 @@ class Gshare:
         self.counters = bytearray([1]) * (1 << index_bits_)  # weakly not-taken
         self._pc_bits = np.asarray(pcs, dtype=np.uint64) & np.uint64((1 << index_bits_) - 1)
 
-    def walk(self, ids, taken, start, stop, rows):
+    def walk(self, ids, taken, ghr, start, stop, rows):
         """Predict, then train on, records `rows` (ascending, in start..stop)
         in order; returns their predicted directions."""
-        (hist,) = fold_history(taken, start, stop, (self.gh,), self.index_bits)
+        (hist,) = fold_history(ghr, start, stop, (self.gh,), self.index_bits)
         index = self._pc_bits[ids[rows]] ^ hist[rows - start]
         pred = bytearray(len(rows))
         ctr = self.counters
@@ -232,14 +229,14 @@ class TageLite:
         self._snap_sum = np.zeros(len(pcs), dtype=np.int64)
         self._snap_count = 0
 
-    def _slots_and_tags(self, ids, taken, start, stop, rows):
+    def _slots_and_tags(self, ids, ghr, start, stop, rows):
         """Per table, the flat entry slot and the tag (plus one) of each row."""
         cfg = self.config
         lengths = cfg.history_lengths
-        hists = fold_history(taken, start, stop, lengths, self._index_bits)
+        hists = fold_history(ghr, start, stop, lengths, self._index_bits)
         tag_hists = (
             hists if cfg.tag_bits == self._index_bits
-            else fold_history(taken, start, stop, lengths, cfg.tag_bits)
+            else fold_history(ghr, start, stop, lengths, cfg.tag_bits)
         )
         k, off = ids[rows], rows - start
         pc_index, pc_tag = self._pc_index[k], self._pc_tag[k]
@@ -252,10 +249,10 @@ class TageLite:
             tags.append(memoryview(tag.astype(np.int64) + 1))
         return slots, tags
 
-    def walk(self, ids, taken, start, stop, rows):
+    def walk(self, ids, taken, ghr, start, stop, rows):
         """Predict, then train on, records `rows` (ascending, in start..stop)
         in order; returns their predicted directions."""
-        slots, tags = self._slots_and_tags(ids, taken, start, stop, rows)
+        slots, tags = self._slots_and_tags(ids, ghr, start, stop, rows)
         tables = range(self.config.num_tables)
         longest_first = tables[::-1]
         base, ctr, u, alloc = self.base, self._ctr, self._u, self._alloc

@@ -4,13 +4,12 @@ MPKI / S-curve reporting."""
 
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .history import HistoryConfig, collect_datasets
-from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, encode_hintset, quantize, select
+from .history import HistoryConfig, collect_datasets, past
+from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, quantize, select
 from .predictors import Gshare, Slbiu, TageLite, TageLiteConfig
 from .sparse_modeling import (
     BranchScreen,
@@ -99,6 +98,7 @@ def run(trace, config, hintset=None, correct_from=0):
     pcs, ids = trace.pc_ids()
     baseline = config.build_baseline(pcs)
     taken = trace.taken
+    ghr = past(taken, config.history.gh, False)
     n = len(taken)
     if hintset is None:
         hit, pred = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -107,7 +107,7 @@ def run(trace, config, hintset=None, correct_from=0):
             raise ConfigError("SLBIU gh must not exceed the shared history gh")
         slbiu = Slbiu(hintset.config)
         slbiu.load(hintset)
-        hit, pred = slbiu.directions(taken, ids, pcs)
+        hit, pred = slbiu.directions(ghr, taken, ids, pcs)
     # occurrences, mispredictions, slbiu_hits and correct per PC, summed over
     # blocks so that no temporary spans the trace
     counts = np.zeros((4, len(pcs)), dtype=np.int64)
@@ -117,7 +117,7 @@ def run(trace, config, hintset=None, correct_from=0):
         block_hit = hit[start:stop]
         rows = np.flatnonzero(~block_hit) + start
         if len(rows):
-            pred[rows] = baseline.walk(ids, taken, start, stop, rows)
+            pred[rows] = baseline.walk(ids, taken, ghr, start, stop, rows)
         if stop % interval == 0:
             baseline.snapshot()
         wrong = pred[start:stop] != taken[start:stop]
@@ -151,7 +151,6 @@ class PipelineResult:
     chosen: tuple  # (N, nnz)
     baseline_report: SimReport
     coupled_report: SimReport
-    hint_path: str = ""
 
 
 def train_models(trace, history, screen_cfg, solver):
@@ -211,7 +210,6 @@ def run_pipeline(
     sim_config=None,
     solver=None,
     screen_cfg=None,
-    out_dir=None,
 ):
     """Full offline flow per trace/phase: train the screened branches
     (train_models), score and select hints under the budget (select_hints),
@@ -227,14 +225,8 @@ def run_pipeline(
         hintset, chosen, base_report = select_hints(
             trace, trained, history, sim_config, qspec, policy, budget_bits
         )
-        hint_path = ""
-        if out_dir is not None:
-            hint_path = str(Path(out_dir) / f"{trace.phase_id or 'phase'}.sbph")
-            encode_hintset(hintset, hint_path)
         coupled = run(trace, sim_config, hintset=hintset)
-        results.append(
-            PipelineResult(trace, hintset, chosen, base_report, coupled, hint_path)
-        )
+        results.append(PipelineResult(trace, hintset, chosen, base_report, coupled))
     return results
 
 

@@ -36,6 +36,7 @@ def check(request):
 
     return _check
 
+from sbp.hints import Q3_4, HintSet, SlbiuConfig, SparsityHint, encode_hintset
 from sbp.trace_io import SyntheticScenario, Trace, gen_correlated
 
 
@@ -52,3 +53,12 @@ def random_trace(n, n_pcs=4, seed=0):
     pcs = [0x400000 + 4 * i for i in range(n_pcs)]
     picks = [(rng.choice(pcs), rng.random() < 0.5) for _ in range(n)]
     return Trace([pc for pc, _ in picks], [taken for _, taken in picks], phase_id=f"rand_{seed}")
+
+
+def write_out_of_range_hint(path):
+    """A hint file whose one entry index (7) is outside [0, lh + gh) = [0, 6)
+    but fits the 3-bit index field."""
+    hs = HintSet("", SlbiuConfig(lh=2, gh=4, n=1, nnz=1, q=8),
+                 [SparsityHint(0x42, 0.0, [(5, 1.0)], Q3_4)])
+    hs.hints[0].entries = [(7, 1.0)]  # past the check, as a corrupt file would be
+    encode_hintset(hs, path)

@@ -5,6 +5,7 @@ import pytest
 from sbp.cli import build_parser, dispatch
 from sbp.hints import decode_hintset, empty_hintset, encode_hintset
 from sbp.trace_io import PC_B, read_trace
+from tests.conftest import write_out_of_range_hint
 
 
 def run_cli(*argv):
@@ -119,6 +120,42 @@ def test_truncated_hint_file_is_a_runtime_error(tmp_path, capsys):
                    "--hints", hints) == 1
     err = capsys.readouterr().err
     assert err.startswith("sbp: ") and "truncated" in err
+
+
+def test_hint_index_outside_the_history_is_a_runtime_error(tmp_path, capsys):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--s", 3, "--len", 300, "-o", trace) == 0
+    hints = tmp_path / "h.sbph"
+    write_out_of_range_hint(hints)
+    capsys.readouterr()
+    assert run_cli("simulate", "--trace", trace, "--gh", 4, "--lh", 2,
+                   "--hints", hints) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sbp: {hints}: ") and "entry index outside [0, 6)" in err
+
+
+@pytest.fixture(scope="module")
+def pipeline_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pipeline") / "corr.sbpt"
+    assert run_cli("gen", "--kind", "correlated", "--m", 2, "--len", 12_000,
+                   "--seed", 3, "-o", path) == 0
+    return path
+
+
+@pytest.mark.parametrize("baseline", ["gshare", "tage-lite"])
+@pytest.mark.parametrize("q", ["3.4", "fp32"])
+def test_simulate_on_pipeline_hints_equals_coupled_report(tmp_path, pipeline_trace, baseline, q):
+    """`simulate --hints` on the `.sbph` a pipeline wrote reproduces that
+    phase's coupled report byte for byte (fp32 weights are float32 on disk)."""
+    flags = ["--gh", 32, "--lh", 4, "--baseline", baseline]
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--traces", pipeline_trace, *flags, "--budget-kb", 1,
+                   "--q", q, "--min-occurrences", 1000, "--out-dir", out) == 0
+    assert decode_hintset(out / "corr.sbph").hints
+    report = tmp_path / "sim.json"
+    assert run_cli("simulate", "--trace", pipeline_trace, *flags,
+                   "--hints", out / "corr.sbph", "-o", report) == 0
+    assert report.read_bytes() == (out / "corr.coupled.json").read_bytes()
 
 
 @pytest.mark.parametrize("q", ["2.5", "4.4"])

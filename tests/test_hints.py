@@ -1,11 +1,17 @@
 import random
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbp.errors import ConfigError, HintFormatError
 from sbp.history import HistoryConfig, TrainingDataset, collect_dataset
 from sbp.hints import (
+    FP32_WIDTH,
     Q3_4,
     Q3_12,
     HintSet,
@@ -27,6 +33,7 @@ from sbp.hints import (
 )
 from sbp.sparse_modeling import SolverConfig, SparseModel, fit, lambda_search, predictions
 from sbp.trace_io import PC_LOOP, SyntheticScenario, gen_loop
+from tests.conftest import write_out_of_range_hint
 
 
 def test_quant_spec_parse():
@@ -186,6 +193,24 @@ def test_hint_validation():
         HintSet("", cfg, [SparsityHint(1, 0.0, [(0, 1.0), (1, 1.0), (2, 1.0)])])
 
 
+def test_hint_set_rejects_entry_indices_outside_the_history():
+    # lh=2, gh=4: index width 3 bits, so an index of 9 would be written as 1
+    cfg = SlbiuConfig(lh=2, gh=4, n=1, nnz=2, q=8)
+    HintSet("", cfg, [SparsityHint(1, 0.0, [(0, 1.0), (5, 1.0)], Q3_4)])
+    for j in (6, 7, 9):
+        with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+            HintSet("", cfg, [SparsityHint(1, 0.0, [(0, 1.0), (j, 1.0)], Q3_4)])
+    with pytest.raises(ValueError):
+        HintSet("", cfg, [SparsityHint(1, 0.0, [(-1, 1.0)], Q3_4)])
+
+
+def test_decode_rejects_entry_indices_outside_the_history(tmp_path):
+    path = tmp_path / "h.sbph"
+    write_out_of_range_hint(path)
+    with pytest.raises(HintFormatError, match=r"entry index outside \[0, 6\)"):
+        decode_hintset(path)
+
+
 def test_encode_decode_round_trip_q8(tmp_path):
     cfg = SlbiuConfig(lh=8, gh=24, n=3, nnz=2, q=8)
     hints = [
@@ -258,3 +283,53 @@ def test_hint_from_model_orders_entries():
     model = SparseModel(3, 0.25, {9: -1.0, 2: 0.5}, 0.1, 1.0, 10)
     h = hint_from_model(model, Q3_4)
     assert h.entries == [(2, 0.5), (9, -1.0)]
+
+
+def _weights(qspec):
+    """Non-zero weights the format stores exactly: fixed-point multiples of
+    2^-F in the Q range, or float32 values."""
+    if qspec is None:
+        return st.floats(width=32, allow_nan=False, allow_infinity=False).filter(bool)
+    top = 1 << (qspec.q - 1)
+    return st.integers(-top, top - 1).filter(bool).map(lambda raw: raw / (1 << qspec.fraction_bits))
+
+
+@st.composite
+def hint_sets(draw):
+    qspec = draw(st.sampled_from([Q3_4, Q3_12, None]))
+    q = FP32_WIDTH if qspec is None else qspec.q
+    lh, gh = draw(st.integers(0, 8)), draw(st.integers(0, 40))
+    cfg = SlbiuConfig(lh=lh, gh=gh, n=draw(st.integers(0, 4)), nnz=draw(st.integers(0, 5)),
+                      q=q, p=draw(st.sampled_from([16, 64])))
+    pcs = draw(st.lists(st.integers(0, (1 << cfg.p) - 1), max_size=cfg.n, unique=True))
+    hints = []
+    for pc in pcs:
+        # indices up to lh + gh - 1; fewer than nnz entries leave padding in the slot
+        idxs = draw(st.lists(st.integers(0, lh + gh - 1), max_size=cfg.nnz, unique=True)
+                    if lh + gh else st.just([]))
+        entries = [(j, draw(_weights(qspec))) for j in sorted(idxs)]
+        intercept = draw(_weights(qspec) | st.just(0.0))
+        hints.append(SparsityHint(pc, intercept, entries, qspec))
+    phase = draw(st.text(max_size=8))
+    return HintSet(phase, cfg, hints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hint_sets())
+@example(empty_hintset(16, 64, 8))
+@example(empty_hintset(0, 1, 32, phase_id="fp32"))
+@example(HintSet("partial", SlbiuConfig(lh=16, gh=64, n=3, nnz=4, q=16),
+                 [SparsityHint(0x40, -8.0, [(0, 0.5), (79, -7.99951171875)], Q3_12)]))
+def test_hint_codec_round_trips(hs):
+    """decode(encode(hs)) == hs for Q3.4, Q3.12 and fp32 weights, n = 0,
+    empty CAM slots, hints below the nnz cap and indices up to lh + gh - 1;
+    the payload is exactly storage_bits(config) bits."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.sbph"
+        encode_hintset(hs, path)
+        data = path.read_bytes()
+        assert decode_hintset(path) == hs
+    header = 4 + 6 + len(hs.phase_id.encode("utf-8")) + 12
+    (payload_bits,) = struct.unpack_from("<I", data, header)
+    assert payload_bits == storage_bits(hs.config)
+    assert len(data) - header - 4 == (payload_bits + 7) // 8

@@ -11,6 +11,7 @@ from sbp.history import (
     collect_dataset,
     collect_datasets,
     ints_to_pm1,
+    past,
 )
 from sbp.trace_io import PC_LOOP, SyntheticScenario, Trace, gen_loop
 from tests.conftest import random_trace
@@ -152,3 +153,23 @@ def test_collect_datasets_equals_per_record_replay(case):
         assert ds.x.shape == ref.x.shape == (ds.m, config.l)
         assert ds.x.tobytes() == ref.x.tobytes()
         assert ds.y.tobytes() == ref.y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-1, 1), max_size=60),
+    st.integers(0, 70),
+    st.integers(-1, 1),
+    st.sampled_from([np.int8, np.bool_]),
+)
+def test_past_matches_shift_register(values, length, fill, dtype):
+    """Row i holds the `length` values before position i, newest first, with
+    `fill` before the column starts: a shift register read before each push.
+    Lengths 0 and beyond the column included."""
+    col = np.array(values, dtype=dtype)
+    window = past(col, length, dtype(fill))
+    assert window.shape == (len(col), length) and window.dtype == col.dtype
+    register = deque([dtype(fill)] * length, maxlen=length)
+    for i, value in enumerate(col):
+        assert window[i].tolist() == list(register)
+        register.appendleft(value)

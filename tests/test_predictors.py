@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sbp.errors import ConfigError
 from sbp.hints import Q3_4, HintSet, SlbiuConfig, SparsityHint
+from sbp.history import past
 from sbp.predictors import (
     HIT_NOT_TAKEN,
     HIT_TAKEN,
@@ -42,7 +43,7 @@ def test_fold_history_matches_shift_register(outcomes, length, width, data):
     start = data.draw(st.integers(0, len(taken)))
     stop = data.draw(st.integers(start, len(taken)))
     lengths = sorted({length, data.draw(st.integers(0, length))})
-    cols = fold_history(taken, start, stop, lengths, width)
+    cols = fold_history(past(taken, length, False), start, stop, lengths, width)
     ghr = 0
     for i, t in enumerate(outcomes[:stop]):
         if i >= start:
@@ -90,7 +91,8 @@ def test_slbiu_local_history_path():
     unit.entries[0x42][1] = 0b10
     assert unit.predict(0x42, 0).direction is True
     # over a trace the LHR starts at 0 and shifts in the PC's own outcomes
-    hit, direction = unit.directions(np.array([True, False, False]), np.zeros(3, np.int32), [0x42])
+    taken = np.array([True, False, False])
+    hit, direction = unit.directions(past(taken, 8, False), taken, np.zeros(3, np.int32), [0x42])
     assert hit.tolist() == [True] * 3
     assert direction.tolist() == [False, False, True]
 
@@ -100,7 +102,7 @@ def test_slbiu_update_misses_are_no_ops():
     unit = make_slbiu([SparsityHint(0x42, 0.0, [(8, 1.0)], Q3_4)])  # LHR bit 0
     taken = np.array([True, False, True, False])
     ids = np.array([1, 0, 1, 0], dtype=np.int32)  # 0x99, 0x42, 0x99, 0x42
-    hit, direction = unit.directions(taken, ids, [0x42, 0x99])
+    hit, direction = unit.directions(past(taken, 8, False), taken, ids, [0x42, 0x99])
     assert hit.tolist() == [False, True, False, True]
     assert direction.tolist() == [False] * 4
 
