@@ -52,6 +52,23 @@ def _add_q_flag(p):
     )
 
 
+def _budget_kb(text):
+    """--budget-kb, checked while the flags are parsed: a finite size of at
+    least one bit."""
+    kb = float(text)
+    if not math.isfinite(kb) or int(kb * 8192) < 1:
+        raise ConfigError(f"--budget-kb {text}: need a finite budget of at least 1 bit (1/8192 KB)")
+    return kb
+
+
+def _alpha(text):
+    """--alpha, checked while the flags are parsed: an L1 share in [0, 1]."""
+    alpha = float(text)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"--alpha {text}: must be in [0, 1]")
+    return alpha
+
+
 MAX_GSHARE_BITS = 24
 MAX_TAGE_ENTRIES = 65536
 
@@ -100,7 +117,7 @@ def build_parser():
     t.add_argument("--trace", required=True)
     _add_history_flags(t)
     t.add_argument("--min-occurrences", type=int, default=10_000)
-    t.add_argument("--alpha", type=float, default=1.0, help="elastic-net L1 mixing")
+    t.add_argument("--alpha", type=_alpha, default=1.0, help="elastic-net L1 mixing")
     t.add_argument("-o", "--output", required=True, help="models JSON file")
     t.add_argument("--dump-text", help="directory for per-branch text dumps")
 
@@ -110,7 +127,7 @@ def build_parser():
     _add_history_flags(s)
     _add_baseline_flags(s)
     s.add_argument("--policy", choices=["independent", "relative"], default="relative")
-    s.add_argument("--budget-kb", type=float, required=True)
+    s.add_argument("--budget-kb", type=_budget_kb, required=True)
     _add_q_flag(s)
     s.add_argument("-o", "--output", required=True, help="hint file (.sbph)")
 
@@ -126,7 +143,7 @@ def build_parser():
     _add_history_flags(p)
     _add_baseline_flags(p)
     p.add_argument("--policy", choices=["independent", "relative"], default="relative")
-    p.add_argument("--budget-kb", type=float, required=True)
+    p.add_argument("--budget-kb", type=_budget_kb, required=True)
     _add_q_flag(p)
     p.add_argument("--min-occurrences", type=int, default=10_000)
     p.add_argument("--out-dir", required=True)
@@ -182,6 +199,7 @@ def _cmd_train(args):
             "accuracy": model.accuracy,
             "m": model.m,
             "sufficient": model.sufficient,
+            "converged": model.converged,
         }
         for pc, (model, _ds) in models.items()
     }
@@ -220,6 +238,7 @@ def _model_from_json(pc, m, width):
         accuracy=_number(m["accuracy"], f"model {pc}: accuracy"),
         m=m["m"],
         sufficient=m["sufficient"],
+        converged=m.get("converged", True),  # files from before the key existed
     )
 
 

@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, HintFormatError
-from .sparse_modeling import eval_accuracy, fit
+from .sparse_modeling import Design, eval_accuracy, fit
 
 HINT_MAGIC = b"SBPH"
 HINT_VERSION = 1
@@ -80,7 +80,7 @@ def quantize(model, spec):
     return replace(model, bias=quantize_value(model.bias, spec), weights=weights)
 
 
-def dedup(dataset, lasso_model, config):
+def dedup(dataset, lasso_model, config, design=None):
     """Collapse duplicated history columns via an ElasticNet refit.
 
     Refits at the input model's lambda with alpha < 1 (0.5 unless the config
@@ -88,14 +88,16 @@ def dedup(dataset, lasso_model, config):
     columns, and moves each group's summed weight onto its smallest index.
     Rejected (input returned unchanged) if accuracy drops more than 0.001
     below the input model's. The result keeps the input's `sufficient` flag:
-    the refit is not searched, so it cannot tell.
+    the refit is not searched, so it cannot tell. `design`: the `Design` of
+    dataset.x that the search used, if the caller kept it.
     """
+    if design is None:
+        design = Design(dataset.x)
     alpha = config.elasticnet_alpha if config.elasticnet_alpha < 1.0 else 0.5
-    en = fit(dataset, lasso_model.lam, alpha, config)
+    en = fit(dataset, lasso_model.lam, alpha, config, design)
     groups = {}
     for j in sorted(en.weights):
-        key = dataset.x[:, j].tobytes()
-        groups.setdefault(key, []).append(j)
+        groups.setdefault(design.first[j], []).append(j)
     weights = {}
     for members in groups.values():
         total = sum(en.weights[j] for j in members)

@@ -13,6 +13,7 @@ from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, quantize, select
 from .predictors import Gshare, Slbiu, TageLite, TageLiteConfig
 from .sparse_modeling import (
     BranchScreen,
+    Design,
     SolverConfig,
     correct_count,
     lambda_search,
@@ -155,14 +156,16 @@ class PipelineResult:
 
 def train_models(trace, history, screen_cfg, solver):
     """Collect every branch's dataset, keep the screened ones, and train each
-    with lambda_search followed by dedup. Returns {pc: (model, dataset)} in
-    pc order."""
+    with lambda_search followed by dedup, both on one `Design` of its features.
+    Returns {pc: (model, dataset)} in pc order."""
     datasets = collect_datasets(trace, history)
     trained = {}
     for pc in sorted(datasets):
         ds = datasets[pc]
         if screen(ds, screen_cfg):
-            model = dedup(ds, lambda_search(ds, solver), solver)
+            design = Design(ds.x)
+            model = dedup(ds, lambda_search(ds, solver, design), solver, design)
+            del design  # free it before the next branch builds its own
             trained[pc] = (model, ds)
     return trained
 

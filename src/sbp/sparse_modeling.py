@@ -5,14 +5,18 @@ logistic loss. Features are {-1,+1}, so every column has unit second moment
 and the global curvature bound 1/4 serves as the per-coordinate Hessian.
 Each outer iteration re-centers the majorizer at the current point (gradient
 recomputed exactly), so the true objective is non-increasing across outer
-iterations; this is asserted in debug mode.
+iterations. `tests/reference_cd.py` keeps the plain form of the solver with
+that check on every iteration, and the tests hold `fit` to it bit for bit.
 
 Feature layout: datasets store their features as a row-major int8 matrix.
-`fit` reads one column-major float64 copy of it, built once per
-`lambda_search` for all its probes, so that the gradient `X.T @ r` and every
-coordinate step read one contiguous float64 column. Scores (`b + x @ w`) are
-computed from the int8 matrix, not from the copy: a matrix-vector product
-over the column-major copy sums in another order and can differ in the last bits.
+`fit` reads a `Design` of it: one column-major float64 copy, built once per
+branch for every `lambda_search` probe and the `dedup` refit, so that the
+gradient `X.T @ r` and every coordinate step read one contiguous float64
+column. The design also maps each column to its first identical column, and
+a coordinate step reuses `col @ dz` from a twin column while `dz` is
+unchanged. Scores (`b + x @ w`) are computed from the int8 matrix, not from
+the copy: a matrix-vector product over the column-major copy sums in another
+order and can differ in the last bits.
 """
 
 import math
@@ -82,14 +86,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _soft(v, t):
-    if v > t:
-        return v - t
-    if v < -t:
-        return v + t
-    return 0.0
-
-
 def objective(z, y, w, lam, alpha):
     """Mean logistic loss plus the elastic-net penalty, at margin vector z."""
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
@@ -97,42 +93,69 @@ def objective(z, y, w, lam, alpha):
     return loss + pen
 
 
-def fit(dataset, lam, alpha, config, columns=None):
+class Design:
+    """A dataset's features as `fit` reads them, built once per branch.
+
+    `columns` is the column-major float64 copy of the int8 features, `cols[j]`
+    its column j, and `first[j]` the smallest index of a column identical to
+    column j (j itself when it has no earlier twin).
+    """
+
+    def __init__(self, x):
+        self.first = []
+        # keyed by hash, not by bytes, so no second copy of the features is kept
+        seen = {}  # hash of a column's bytes -> its distinct columns
+        for j in range(x.shape[1]):
+            col = x[:, j]
+            twins = seen.setdefault(hash(col.tobytes()), [])
+            k = next((k for k in twins if np.array_equal(x[:, k], col)), None)
+            if k is None:
+                twins.append(k := j)
+            self.first.append(k)
+        self.columns = np.asfortranarray(x, dtype=np.float64)
+        self.cols = [self.columns[:, j] for j in range(x.shape[1])]
+
+
+def fit(dataset, lam, alpha, config, design=None):
     """Minimize (1/m) sum logistic(y_i, f(x_i)) + lam*(alpha*|w|_1 + (1-alpha)/2*|w|_2^2).
 
     Bias is unpenalized. Weights with |w| < 10*tolerance are truncated to exact
-    zero on return. `columns`: a column-major float64 copy of dataset.x, if any.
+    zero on return. `design`: the `Design` of dataset.x, if the caller has one.
     """
     m = dataset.m
     if m < 1:
         raise ValueError("fit requires at least one sample")
-    X = np.asfortranarray(dataset.x, dtype=np.float64) if columns is None else columns
+    if design is None:
+        design = Design(dataset.x)
+    X, cols, first = design.columns, design.cols, design.first
     y = dataset.y.astype(np.float64)
     l = X.shape[1]
     h = CURVATURE
     l1 = lam * alpha
     denom = h + lam * (1.0 - alpha)
     tol = config.tolerance
-    w = np.zeros(l)
+    w = [0.0] * l
     b = 0.0
     z = np.zeros(m)
     active = np.zeros(l, dtype=bool)
+    buf = np.empty(m)
+    # dots[k] is cols[k] @ dz as of dz version dot_version[k]; twins share it
+    version = 0
+    dots = [0.0] * l
+    dot_version = [-1] * l
     converged = False
-    prev_obj = math.inf
     for _ in range(config.max_iterations):
         p = _sigmoid(z)
         r = p - y
         g0 = (X.T @ r) / m
         gb0 = float(r.mean())
-        if __debug__:
-            obj = objective(z, y, w, lam, alpha)
-            assert obj <= prev_obj + 1e-9 * (1.0 + abs(prev_obj)), "objective increased"
-            prev_obj = obj
         viol = ~active & (np.abs(g0) > l1)
         active |= viol
-        idx = np.flatnonzero(active)
+        idx = np.flatnonzero(active).tolist()
+        g0 = g0.tolist()
         # Coordinate descent on the majorizer centered at the current point.
         dz = np.zeros(m)
+        version += 1
         first_sweep_delta = None
         for _sweep in range(_INNER_SWEEPS):
             max_delta = 0.0
@@ -141,16 +164,30 @@ def fit(dataset, lam, alpha, config, columns=None):
             if db != 0.0:
                 b += db
                 dz += db
+                version += 1
                 max_delta = abs(db)
             for j in idx:
-                col = X[:, j]
-                gj = g0[j] + h * float(col @ dz) / m
+                k = first[j]
+                if dot_version[k] == version:
+                    dot = dots[k]
+                else:
+                    dot = dots[k] = float(cols[j].dot(dz))
+                    dot_version[k] = version
                 wj = w[j]
-                wn = _soft(h * wj - gj, l1) / denom
+                v = h * wj - (g0[j] + h * dot / m)
+                if v > l1:
+                    wn = (v - l1) / denom
+                elif v < -l1:
+                    wn = (v + l1) / denom
+                else:
+                    wn = 0.0
                 d = wn - wj
                 if d != 0.0:
                     w[j] = wn
-                    dz += d * col
+                    # the products of dz += d * col, without a new array
+                    np.multiply(cols[j], d, out=buf)
+                    dz += buf
+                    version += 1
                     if abs(d) > max_delta:
                         max_delta = abs(d)
             if first_sweep_delta is None:
@@ -161,6 +198,7 @@ def fit(dataset, lam, alpha, config, columns=None):
         if not viol.any() and first_sweep_delta < tol:
             converged = True
             break
+    w = np.array(w)
     w[np.abs(w) < 10.0 * tol] = 0.0
     scores = b + dataset.x @ w
     accuracy = float(np.mean((scores >= 0) == dataset.y))
@@ -176,20 +214,22 @@ def fit(dataset, lam, alpha, config, columns=None):
     )
 
 
-def lambda_search(dataset, config):
+def lambda_search(dataset, config, design=None):
     """Binary search on log-lambda for the sparsest model meeting accuracy_stop.
 
     Accurate probes push lambda up (sparser), inaccurate ones push it down.
     Falls back to the most accurate probe, flagged insufficient, when no probe
-    reaches the stopping accuracy.
+    reaches the stopping accuracy. Every probe reads one `Design` of the
+    features (`design`, or one built here).
     """
     lo = math.log(config.lambda_min)
     hi = math.log(config.lambda_max)
     probes = []
-    columns = np.asfortranarray(dataset.x, dtype=np.float64)
+    if design is None:
+        design = Design(dataset.x)
     for _ in range(LAMBDA_PROBES):
         mid = (lo + hi) / 2.0
-        model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config, columns)
+        model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config, design)
         probes.append(model)
         if model.accuracy >= config.accuracy_stop:
             lo = mid

@@ -37,7 +37,7 @@ def check(request):
     return _check
 
 from sbp.hints import Q3_4, HintSet, SlbiuConfig, SparsityHint, encode_hintset
-from sbp.trace_io import SyntheticScenario, Trace, gen_correlated
+from sbp.trace_io import SyntheticScenario, Trace, gen_correlated, gen_loop
 
 
 @pytest.fixture
@@ -46,6 +46,12 @@ def correlated_trace():
     return gen_correlated(
         SyntheticScenario(kind="correlated", length=20_000, seed=11, noise_branches=2)
     )
+
+
+@pytest.fixture
+def loop_trace():
+    """4k-record loop trace, period 7: its history columns repeat every 7."""
+    return gen_loop(SyntheticScenario(kind="loop", length=4_000, loop_period=7, loop_offset=1))
 
 
 def random_trace(n, n_pcs=4, seed=0):

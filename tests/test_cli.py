@@ -44,6 +44,7 @@ def test_train_select_simulate_flow(tmp_path, corr_trace):
     assert payload["gh"] == 16
     assert str(PC_B) in payload["models"]
     assert payload["models"][str(PC_B)]["accuracy"] >= 0.99
+    assert all(isinstance(m["converged"], bool) for m in payload["models"].values())
 
     hints = tmp_path / "h.sbph"
     assert run_cli("select", "--models", models, "--trace", corr_trace,
@@ -170,6 +171,41 @@ def test_unsupported_q_rejected_before_any_work(tmp_path, capsys, q):
                    "--out-dir", out) == 2
     assert capsys.readouterr().err.startswith("sbp: unsupported quantization")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-2", "0.0001", "nan", "inf"])
+def test_bad_budget_rejected_before_any_work(tmp_path, capsys, budget):
+    # 0.0001 KB is 0.8 bits; the inputs do not exist, so exit 2 shows the
+    # budget was checked before any file was read
+    missing = tmp_path / "missing"
+    assert run_cli("select", "--models", missing, "--trace", missing,
+                   "--budget-kb", budget, "-o", tmp_path / "h.sbph") == 2
+    assert capsys.readouterr().err.startswith(f"sbp: --budget-kb {budget}: need a finite")
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--traces", missing, "--budget-kb", budget,
+                   "--out-dir", out) == 2
+    assert capsys.readouterr().err.startswith(f"sbp: --budget-kb {budget}: need a finite")
+    assert not out.exists()
+
+
+def test_smallest_budget_is_one_bit():
+    args = build_parser().parse_args(["pipeline", "--traces", "t", "--budget-kb",
+                                      str(1 / 8192), "--out-dir", "o"])
+    assert int(args.budget_kb * 8192) == 1
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan", "inf"])
+def test_bad_alpha_rejected_before_any_work(tmp_path, capsys, alpha):
+    missing = tmp_path / "missing.sbpt"
+    assert run_cli("train", "--trace", missing, "--alpha", alpha,
+                   "-o", tmp_path / "m.json") == 2
+    assert capsys.readouterr().err == f"sbp: --alpha {alpha}: must be in [0, 1]\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.5", "1"])
+def test_alpha_limits_accepted(alpha):
+    args = build_parser().parse_args(["train", "--trace", "t", "--alpha", alpha, "-o", "m"])
+    assert args.alpha == float(alpha)
 
 
 def test_parser_rejects_unknown_command(capsys):

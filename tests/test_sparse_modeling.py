@@ -5,10 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbp.history import HistoryConfig, TrainingDataset, collect_dataset
+from sbp.hints import dedup
+from sbp.history import HistoryConfig, TrainingDataset, collect_dataset, collect_datasets
 from sbp.sparse_modeling import (
     BranchScreen,
+    Design,
     SolverConfig,
     SparseModel,
     correct_count,
@@ -22,6 +26,7 @@ from sbp.sparse_modeling import (
     screen,
 )
 from sbp.trace_io import PC_B, SyntheticScenario, gen_correlated
+from tests import reference_cd
 
 
 def make_dataset(x, y, pc=1):
@@ -195,3 +200,78 @@ def test_no_float32_feature_cache():
         if f.resolve() != Path(__file__).resolve() and pattern.search(f.read_text())
     ]
     assert stale == []
+
+
+def test_design_maps_each_column_to_its_first_twin():
+    x = np.array([[1, -1, 1, 1, -1], [-1, -1, -1, 1, -1], [1, 1, 1, -1, 1]], dtype=np.int8)
+    design = Design(x)
+    assert design.first == [0, 1, 0, 3, 1]
+    assert design.columns.flags.f_contiguous
+    assert np.array_equal(design.columns, x)
+    assert all(np.shares_memory(c, design.columns) for c in design.cols)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 17, 63, 65, 1001, 1920, 6987])
+def test_twin_columns_give_identical_dot_products(m):
+    # fit reuses one column's `col @ dz` for its twins; that is exact only if
+    # the BLAS sums identical columns at different offsets (and so different
+    # alignments) of the Fortran copy in the same order
+    rng = np.random.default_rng(m)
+    col = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
+    design = Design(np.repeat(col[:, None], 9, axis=1))
+    assert design.first == [0] * 9
+    for _ in range(20):
+        dz = rng.normal(size=m) * 10.0 ** rng.uniform(-8, 3, size=m)
+        dots = {float(c.dot(dz)) for c in design.cols} | {float(c @ dz) for c in design.cols}
+        assert len(dots) == 1
+
+
+def _bits(model):
+    return repr((model.pc, model.bias, model.weights, model.lam, model.accuracy, model.m,
+                 model.converged, model.sufficient))
+
+
+@st.composite
+def cd_problems(draw):
+    """Small ±1 designs with duplicate columns, and a fit setting."""
+    m = draw(st.integers(1, 160))
+    distinct = draw(st.integers(1, 6))
+    l = draw(st.integers(distinct, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, distinct))
+    which = np.concatenate([np.arange(distinct), rng.integers(0, distinct, l - distinct)])
+    x = np.ascontiguousarray(base[:, rng.permutation(which)])
+    if draw(st.booleans()):  # a sparse noisy rule, or coin flips
+        w = rng.choice([-2.0, 0.0, 0.0, 2.0], size=l)
+        y = rng.random(m) < 1.0 / (1.0 + np.exp(-(x @ w + rng.normal(0, 1, m))))
+    else:
+        y = rng.random(m) < 0.5
+    lam = 10.0 ** draw(st.floats(-4.0, 0.0))
+    alpha = draw(st.sampled_from([1.0, 0.5]))
+    iterations = draw(st.sampled_from([1, 2, 3, 100]))  # cut off, or run to the end
+    return make_dataset(x, y), lam, alpha, SolverConfig(max_iterations=iterations)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cd_problems())
+def test_fit_equals_reference_solver(problem):
+    ds, lam, alpha, cfg = problem
+    expect = _bits(reference_cd.fit(ds, lam, alpha, cfg))
+    assert _bits(fit(ds, lam, alpha, cfg)) == expect
+    assert _bits(fit(ds, lam, alpha, cfg, Design(ds.x))) == expect
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("which", ["correlated", "loop"])
+def test_search_and_dedup_equal_reference(request, which, alpha):
+    trace = request.getfixturevalue(f"{which}_trace")
+    cfg = SolverConfig(elasticnet_alpha=alpha)
+    datasets = collect_datasets(trace, HistoryConfig(gh=12, lh=4))
+    screened = [ds for ds in datasets.values() if ds.m >= 1000]
+    assert screened
+    for ds in screened:
+        design = Design(ds.x)
+        model = dedup(ds, lambda_search(ds, cfg, design), cfg, design)
+        expect = reference_cd.dedup(ds, reference_cd.lambda_search(ds, cfg), cfg)
+        assert _bits(model) == _bits(expect)
+        assert _bits(dedup(ds, lambda_search(ds, cfg), cfg)) == _bits(expect)
