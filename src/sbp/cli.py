@@ -221,6 +221,12 @@ def _number(value, what):
 
 def _model_from_json(pc, m, width):
     """One `sbp train` model; weight indices must address the gh + lh history."""
+    if type(m["m"]) is not int or m["m"] < 0:
+        raise ValueError(f"model {pc}: m {m['m']!r} is not a non-negative integer")
+    flags = {"sufficient": m["sufficient"], "converged": m.get("converged", True)}
+    for key, value in flags.items():  # `converged` is absent from older files
+        if type(value) is not bool:
+            raise ValueError(f"model {pc}: {key} {value!r} is not true or false")
     weights = {}
     for j_s, w in m["weights"].items():
         try:
@@ -237,8 +243,7 @@ def _model_from_json(pc, m, width):
         lam=_number(m["lambda"], f"model {pc}: lambda"),
         accuracy=_number(m["accuracy"], f"model {pc}: accuracy"),
         m=m["m"],
-        sufficient=m["sufficient"],
-        converged=m.get("converged", True),  # files from before the key existed
+        **flags,
     )
 
 

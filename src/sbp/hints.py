@@ -91,8 +91,7 @@ def dedup(dataset, lasso_model, config, design=None):
     the refit is not searched, so it cannot tell. `design`: the `Design` of
     dataset.x that the search used, if the caller kept it.
     """
-    if design is None:
-        design = Design(dataset.x)
+    design = design or Design(dataset.x)
     alpha = config.elasticnet_alpha if config.elasticnet_alpha < 1.0 else 0.5
     en = fit(dataset, lasso_model.lam, alpha, config, design)
     groups = {}

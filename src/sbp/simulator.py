@@ -163,9 +163,8 @@ def train_models(trace, history, screen_cfg, solver):
     for pc in sorted(datasets):
         ds = datasets[pc]
         if screen(ds, screen_cfg):
-            design = Design(ds.x)
+            design = Design(ds.x)  # built lazily: the last branch's is freed first
             model = dedup(ds, lambda_search(ds, solver, design), solver, design)
-            del design  # free it before the next branch builds its own
             trained[pc] = (model, ds)
     return trained
 

@@ -6,21 +6,21 @@ and the global curvature bound 1/4 serves as the per-coordinate Hessian.
 Each outer iteration re-centers the majorizer at the current point (gradient
 recomputed exactly), so the true objective is non-increasing across outer
 iterations. `tests/reference_cd.py` keeps the plain form of the solver with
-that check on every iteration, and the tests hold `fit` to it bit for bit.
+that check on every iteration; the tests hold `fit` to its models within
+1e-12, with the same support, flags and predictions.
 
-Feature layout: datasets store their features as a row-major int8 matrix.
-`fit` reads a `Design` of it: one column-major float64 copy, built once per
-branch for every `lambda_search` probe and the `dedup` refit, so that the
-gradient `X.T @ r` and every coordinate step read one contiguous float64
-column. The design also maps each column to its first identical column, and
-a coordinate step reuses `col @ dz` from a twin column while `dz` is
-unchanged. Scores (`b + x @ w`) are computed from the int8 matrix, not from
-the copy: a matrix-vector product over the column-major copy sums in another
-order and can differ in the last bits.
+`fit` reads a `Design` of a dataset's int8 features, shared by every
+`lambda_search` probe and the `dedup` refit. The gradient and the margins
+use its column-major float64 copy. The coordinate steps use glmnet's
+covariance updates (Friedman, Hastie & Tibshirani, J. Stat. Softw. 33(1),
+2010, section 2.2): they read `X.T @ dz` and `sum(dz)` off the Gram matrix
+`X.T @ X` and the column sums, both exact integer sums of +-1 products, so no
+step touches an m-length array. Scores (`b + x @ w`) use the int8 matrix.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,26 +94,30 @@ def objective(z, y, w, lam, alpha):
 
 
 class Design:
-    """A dataset's features as `fit` reads them, built once per branch.
-
-    `columns` is the column-major float64 copy of the int8 features, `cols[j]`
-    its column j, and `first[j]` the smallest index of a column identical to
-    column j (j itself when it has no earlier twin).
-    """
+    """A dataset's features as `fit` reads them, each part built on first use:
+    `columns`, the column-major float64 copy of the int8 features `x`; `gram`,
+    its `X.T @ X`; `colsum`, its column sums; and `first[j]`, the smallest
+    index of a column identical to column j (+-1 columns are identical exactly
+    when their Gram entry is m)."""
 
     def __init__(self, x):
-        self.first = []
-        # keyed by hash, not by bytes, so no second copy of the features is kept
-        seen = {}  # hash of a column's bytes -> its distinct columns
-        for j in range(x.shape[1]):
-            col = x[:, j]
-            twins = seen.setdefault(hash(col.tobytes()), [])
-            k = next((k for k in twins if np.array_equal(x[:, k], col)), None)
-            if k is None:
-                twins.append(k := j)
-            self.first.append(k)
-        self.columns = np.asfortranarray(x, dtype=np.float64)
-        self.cols = [self.columns[:, j] for j in range(x.shape[1])]
+        self.x = x
+
+    @cached_property
+    def columns(self):
+        return np.asfortranarray(self.x, dtype=np.float64)
+
+    @cached_property
+    def gram(self):
+        return self.columns.T @ self.columns
+
+    @cached_property
+    def colsum(self):
+        return self.columns.sum(axis=0)
+
+    @cached_property
+    def first(self):
+        return (self.gram == len(self.x)).argmax(axis=1).tolist()
 
 
 def fit(dataset, lam, alpha, config, design=None):
@@ -125,24 +129,18 @@ def fit(dataset, lam, alpha, config, design=None):
     m = dataset.m
     if m < 1:
         raise ValueError("fit requires at least one sample")
-    if design is None:
-        design = Design(dataset.x)
-    X, cols, first = design.columns, design.cols, design.first
+    design = design or Design(dataset.x)
+    X, gram, colsum = design.columns, design.gram, design.colsum
     y = dataset.y.astype(np.float64)
     l = X.shape[1]
     h = CURVATURE
     l1 = lam * alpha
     denom = h + lam * (1.0 - alpha)
     tol = config.tolerance
-    w = [0.0] * l
+    w = np.zeros(l)
     b = 0.0
     z = np.zeros(m)
     active = np.zeros(l, dtype=bool)
-    buf = np.empty(m)
-    # dots[k] is cols[k] @ dz as of dz version dot_version[k]; twins share it
-    version = 0
-    dots = [0.0] * l
-    dot_version = [-1] * l
     converged = False
     for _ in range(config.max_iterations):
         p = _sigmoid(z)
@@ -151,30 +149,29 @@ def fit(dataset, lam, alpha, config, design=None):
         gb0 = float(r.mean())
         viol = ~active & (np.abs(g0) > l1)
         active |= viol
-        idx = np.flatnonzero(active).tolist()
-        g0 = g0.tolist()
-        # Coordinate descent on the majorizer centered at the current point.
-        dz = np.zeros(m)
-        version += 1
+        idx = np.flatnonzero(active)
+        # Coordinate descent on the majorizer centered at the current point
+        # (weights `center` on the active columns idx, bias b_center). Each
+        # step reads q = X[:, idx].T @ dz and sum(dz), dz being the margins'
+        # move since the center, off the active Gram rows and column sums.
+        g = g0[idx].tolist()
+        center = w[idx]
+        wa = center.tolist()
+        rows = list(gram[np.ix_(idx, idx)])
+        sums = colsum[idx]
+        q = np.zeros(len(idx))
+        b_center = b
         first_sweep_delta = None
         for _sweep in range(_INNER_SWEEPS):
             max_delta = 0.0
-            gb = gb0 + h * float(dz.mean())
-            db = -gb / h
+            dz_sum = float(sums @ (np.array(wa) - center)) + m * (b - b_center)
+            db = -(gb0 + h * (dz_sum / m)) / h
             if db != 0.0:
                 b += db
-                dz += db
-                version += 1
+                q += db * sums
                 max_delta = abs(db)
-            for j in idx:
-                k = first[j]
-                if dot_version[k] == version:
-                    dot = dots[k]
-                else:
-                    dot = dots[k] = float(cols[j].dot(dz))
-                    dot_version[k] = version
-                wj = w[j]
-                v = h * wj - (g0[j] + h * dot / m)
+            for i, wj in enumerate(wa):
+                v = h * wj - (g[i] + h * q.item(i) / m)
                 if v > l1:
                     wn = (v - l1) / denom
                 elif v < -l1:
@@ -183,22 +180,23 @@ def fit(dataset, lam, alpha, config, design=None):
                     wn = 0.0
                 d = wn - wj
                 if d != 0.0:
-                    w[j] = wn
-                    # the products of dz += d * col, without a new array
-                    np.multiply(cols[j], d, out=buf)
-                    dz += buf
-                    version += 1
+                    wa[i] = wn
+                    q += d * rows[i]
                     if abs(d) > max_delta:
                         max_delta = abs(d)
             if first_sweep_delta is None:
                 first_sweep_delta = max_delta
             if max_delta < tol:
                 break
-        z = z + dz
+        dw = np.zeros(l)
+        dw[idx] = np.array(wa) - center
+        w[idx] = wa
+        moved = np.flatnonzero(dw)
+        few = 4 * len(moved) <= l  # then skip the full product
+        z += (X[:, moved] @ dw[moved] if few else X @ dw) + (b - b_center)
         if not viol.any() and first_sweep_delta < tol:
             converged = True
             break
-    w = np.array(w)
     w[np.abs(w) < 10.0 * tol] = 0.0
     scores = b + dataset.x @ w
     accuracy = float(np.mean((scores >= 0) == dataset.y))
@@ -225,8 +223,7 @@ def lambda_search(dataset, config, design=None):
     lo = math.log(config.lambda_min)
     hi = math.log(config.lambda_max)
     probes = []
-    if design is None:
-        design = Design(dataset.x)
+    design = design or Design(dataset.x)
     for _ in range(LAMBDA_PROBES):
         mid = (lo + hi) / 2.0
         model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config, design)

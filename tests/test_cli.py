@@ -321,6 +321,14 @@ def _model(**changes):
     (_model(weights={"one": 0.5}), "model 12288: weight index 'one' is not an integer"),
     (_model(weights={"9": 0.5}), "model 12288: weight index 9 is outside [0, 4)"),
     (_model(weights={"-1": 0.5}), "model 12288: weight index -1 is outside [0, 4)"),
+    (_model(m="x"), "model 12288: m 'x' is not a non-negative integer"),
+    (_model(m=-1), "model 12288: m -1 is not a non-negative integer"),
+    (_model(m=300.0), "model 12288: m 300.0 is not a non-negative integer"),
+    (_model(m=True), "model 12288: m True is not a non-negative integer"),
+    (_model(sufficient="no"), "model 12288: sufficient 'no' is not true or false"),
+    (_model(sufficient=1), "model 12288: sufficient 1 is not true or false"),
+    (_model(converged="no"), "model 12288: converged 'no' is not true or false"),
+    (_model(converged=None), "model 12288: converged None is not true or false"),
 ])
 def test_select_rejects_bad_model_values(tmp_path, capsys, model, message):
     trace = tmp_path / "loop.sbpt"
