@@ -282,8 +282,11 @@ def _cmd_select(args):
 
 def _cmd_simulate(args):
     sim_config = _sim_config(args)
-    trace = read_trace(args.trace)
     hintset = decode_hintset(args.hints) if args.hints else None
+    if hintset is not None and hintset.config.lh != args.lh:
+        lh = hintset.config.lh
+        raise ConfigError(f"{args.hints}: hint file lh {lh} disagrees with --lh {args.lh}")
+    trace = read_trace(args.trace)
     report = run(trace, sim_config, hintset=hintset)
     text = report.to_json()
     if args.output:
@@ -345,12 +348,13 @@ def _cmd_pipeline(args):
 
 
 def _cmd_online(args):
+    config = OnlineConfig(eta=args.eta)
     trace = read_trace(args.trace)
     history = HistoryConfig(args.gh, args.lh)
     targets = None
     if args.targets != "all":
         targets = {int(t, 0) for t in args.targets.split(",")}
-    results = run_online(trace, history, target_pcs=targets, config=OnlineConfig(eta=args.eta))
+    results = run_online(trace, history, target_pcs=targets, config=config)
     payload = {
         str(pc): {
             "occurrences": r.occurrences,
@@ -374,7 +378,7 @@ def _read_report(path):
     if isinstance(data, dict) and isinstance(data.get("mpki"), (int, float)):
         phase = data.get("phase_id")
         if phase is None or isinstance(phase, str):
-            return phase, data["mpki"]
+            return phase, _number(data["mpki"], f"{path}: mpki")
     raise SbpError(f"{path}: not a report (needs a numeric mpki and a string phase_id)")
 
 

@@ -88,10 +88,10 @@ def dedup(dataset, lasso_model, config, design=None):
     columns, and moves each group's summed weight onto its smallest index.
     Rejected (input returned unchanged) if accuracy drops more than 0.001
     below the input model's. The result keeps the input's `sufficient` flag:
-    the refit is not searched, so it cannot tell. `design`: the `Design` of
-    dataset.x that the search used, if the caller kept it.
+    the refit is not searched, so it cannot tell. `design`: the dataset's
+    `Design` that the search used, if the caller kept it.
     """
-    design = design or Design(dataset.x)
+    design = design or Design(dataset)
     alpha = config.elasticnet_alpha if config.elasticnet_alpha < 1.0 else 0.5
     en = fit(dataset, lasso_model.lam, alpha, config, design)
     groups = {}
@@ -103,7 +103,7 @@ def dedup(dataset, lasso_model, config, design=None):
         if total != 0.0:
             weights[members[0]] = total
     collapsed = replace(en, weights=weights, sufficient=lasso_model.sufficient)
-    collapsed.accuracy = eval_accuracy(collapsed, dataset)
+    collapsed.accuracy = eval_accuracy(collapsed, dataset, design)
     if collapsed.accuracy < lasso_model.accuracy - 0.001:
         return lasso_model
     return collapsed

@@ -7,10 +7,12 @@ per-sample arithmetic operation for operation (`w.x` is one dot product per
 row, by a batched matmul): the results are those of one branch at a time.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .history import GATHER_ROWS, sample_rows
 
 
@@ -28,6 +30,8 @@ class OnlineConfig:
             raise ValueError("lambda_init must lie within [lambda_min, lambda_max]")
         if self.lambda_init > 0.0 >= self.lambda_min:  # halving would reach 0
             raise ValueError("lambda_min must be positive when lambda_init is")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ConfigError(f"eta {self.eta!r}: need a finite learning rate above 0")
 
 
 @dataclass

@@ -163,7 +163,7 @@ def train_models(trace, history, screen_cfg, solver):
     for pc in sorted(datasets):
         ds = datasets[pc]
         if screen(ds, screen_cfg):
-            design = Design(ds.x)  # built lazily: the last branch's is freed first
+            design = Design(ds)  # built lazily: the last branch's is freed first
             model = dedup(ds, lambda_search(ds, solver, design), solver, design)
             trained[pc] = (model, ds)
     return trained

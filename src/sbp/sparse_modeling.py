@@ -9,13 +9,16 @@ iterations. `tests/reference_cd.py` keeps the plain form of the solver with
 that check on every iteration; the tests hold `fit` to its models within
 1e-12, with the same support, flags and predictions.
 
-`fit` reads a `Design` of a dataset's int8 features, shared by every
-`lambda_search` probe and the `dedup` refit. The gradient and the margins
-use its column-major float64 copy. The coordinate steps use glmnet's
-covariance updates (Friedman, Hastie & Tibshirani, J. Stat. Softw. 33(1),
-2010, section 2.2): they read `X.T @ dz` and `sum(dz)` off the Gram matrix
-`X.T @ X` and the column sums, both exact integer sums of +-1 products, so no
-step touches an m-length array. Scores (`b + x @ w`) use the int8 matrix.
+`fit` reads a `Design` of a dataset, shared by every `lambda_search` probe
+and the `dedup` refit: what depends on the data alone is computed once per
+branch. The gradient and the margins use its column-major float64 copy;
+the first outer iteration starts from its gradient at the zero model. The
+coordinate steps use glmnet's covariance updates (Friedman, Hastie &
+Tibshirani, J. Stat. Softw. 33(1), 2010, section 2.2): they read `X.T @ dz`
+and `sum(dz)` off the Gram matrix `X.T @ X` and the column sums, both exact
+integer sums of +-1 products, so no step touches an m-length array. Scores
+(`b + x @ w`) come from `Design.scores`, over the row-major float64 copy,
+which gives the bits of numpy's product on the int8 matrix.
 """
 
 import math
@@ -82,8 +85,11 @@ class SparseModel:
         return w
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)), into `out` if given."""
+    out = np.exp(np.negative(z, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def objective(z, y, w, lam, alpha):
@@ -94,14 +100,25 @@ def objective(z, y, w, lam, alpha):
 
 
 class Design:
-    """A dataset's features as `fit` reads them, each part built on first use:
-    `columns`, the column-major float64 copy of the int8 features `x`; `gram`,
-    its `X.T @ X`; `colsum`, its column sums; and `first[j]`, the smallest
+    """A dataset's parts that every fit of it reads, each built on first use:
+    `rows`, the row-major float64 copy of the int8 features `x` that `scores`
+    reads; `columns`, the column-major copy that the gradient and the margin
+    steps read; `gram`, its `X.T @ X`; `colsum`, its column sums; `start`, the
+    gradient and bias gradient at w = 0, b = 0; and `first[j]`, the smallest
     index of a column identical to column j (+-1 columns are identical exactly
     when their Gram entry is m)."""
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, dataset):
+        self.x, self.y = dataset.x, dataset.y
+
+    @cached_property
+    def rows(self):
+        return np.ascontiguousarray(self.x, dtype=np.float64)
+
+    def scores(self, bias, w):
+        """`bias + x @ w`: numpy casts the int8 `x @ w` in row-major order, so
+        these are the same bits."""
+        return bias + self.rows @ w
 
     @cached_property
     def columns(self):
@@ -116,6 +133,11 @@ class Design:
         return self.columns.sum(axis=0)
 
     @cached_property
+    def start(self):
+        r = 0.5 - self.y.astype(np.float64)  # p = 1/2 at zero margins
+        return (self.columns.T @ r) / len(r), float(r.mean())
+
+    @cached_property
     def first(self):
         return (self.gram == len(self.x)).argmax(axis=1).tolist()
 
@@ -124,12 +146,12 @@ def fit(dataset, lam, alpha, config, design=None):
     """Minimize (1/m) sum logistic(y_i, f(x_i)) + lam*(alpha*|w|_1 + (1-alpha)/2*|w|_2^2).
 
     Bias is unpenalized. Weights with |w| < 10*tolerance are truncated to exact
-    zero on return. `design`: the `Design` of dataset.x, if the caller has one.
+    zero on return. `design`: the dataset's `Design`, if the caller has one.
     """
     m = dataset.m
     if m < 1:
         raise ValueError("fit requires at least one sample")
-    design = design or Design(dataset.x)
+    design = design or Design(dataset)
     X, gram, colsum = design.columns, design.gram, design.colsum
     y = dataset.y.astype(np.float64)
     l = X.shape[1]
@@ -139,17 +161,25 @@ def fit(dataset, lam, alpha, config, design=None):
     tol = config.tolerance
     w = np.zeros(l)
     b = 0.0
-    z = np.zeros(m)
+    z, r, dz = np.zeros(m), np.empty(m), np.empty(m)
+    g0, gb0 = design.start  # the gradient at w = 0, b = 0
     active = np.zeros(l, dtype=bool)
+    idx = None
     converged = False
-    for _ in range(config.max_iterations):
-        p = _sigmoid(z)
-        r = p - y
-        g0 = (X.T @ r) / m
-        gb0 = float(r.mean())
+    for it in range(config.max_iterations):
+        if it:
+            _sigmoid(z, out=r)
+            r -= y
+            g0 = (X.T @ r) / m
+            gb0 = float(r.mean())
         viol = ~active & (np.abs(g0) > l1)
-        active |= viol
-        idx = np.flatnonzero(active)
+        grew = bool(viol.any())
+        if grew or idx is None:  # the active set never shrinks
+            active |= viol
+            idx = np.flatnonzero(active)
+            rows = list(gram[np.ix_(idx, idx)])
+            sums = colsum[idx]
+            q, step = np.empty(len(idx)), np.empty(len(idx))
         # Coordinate descent on the majorizer centered at the current point
         # (weights `center` on the active columns idx, bias b_center). Each
         # step reads q = X[:, idx].T @ dz and sum(dz), dz being the margins'
@@ -157,9 +187,7 @@ def fit(dataset, lam, alpha, config, design=None):
         g = g0[idx].tolist()
         center = w[idx]
         wa = center.tolist()
-        rows = list(gram[np.ix_(idx, idx)])
-        sums = colsum[idx]
-        q = np.zeros(len(idx))
+        q.fill(0.0)
         b_center = b
         first_sweep_delta = None
         for _sweep in range(_INNER_SWEEPS):
@@ -168,7 +196,7 @@ def fit(dataset, lam, alpha, config, design=None):
             db = -(gb0 + h * (dz_sum / m)) / h
             if db != 0.0:
                 b += db
-                q += db * sums
+                q += np.multiply(sums, db, step)
                 max_delta = abs(db)
             for i, wj in enumerate(wa):
                 v = h * wj - (g[i] + h * q.item(i) / m)
@@ -181,25 +209,31 @@ def fit(dataset, lam, alpha, config, design=None):
                 d = wn - wj
                 if d != 0.0:
                     wa[i] = wn
-                    q += d * rows[i]
+                    q += np.multiply(rows[i], d, step)
                     if abs(d) > max_delta:
                         max_delta = abs(d)
             if first_sweep_delta is None:
                 first_sweep_delta = max_delta
             if max_delta < tol:
                 break
-        dw = np.zeros(l)
-        dw[idx] = np.array(wa) - center
+        delta = np.array(wa) - center
         w[idx] = wa
-        moved = np.flatnonzero(dw)
-        few = 4 * len(moved) <= l  # then skip the full product
-        z += (X[:, moved] @ dw[moved] if few else X @ dw) + (b - b_center)
-        if not viol.any() and first_sweep_delta < tol:
+        moved = np.flatnonzero(delta)
+        if len(moved) == 1:  # one product per margin: exact for +-1 entries
+            np.multiply(X[:, idx[moved[0]]], delta[moved[0]], dz)
+        elif 4 * len(moved) <= l:  # then skip the full product
+            np.matmul(X[:, idx[moved]], delta[moved], dz)
+        else:
+            dw = np.zeros(l)
+            dw[idx] = delta
+            np.matmul(X, dw, dz)
+        dz += b - b_center
+        z += dz
+        if not grew and first_sweep_delta < tol:
             converged = True
             break
     w[np.abs(w) < 10.0 * tol] = 0.0
-    scores = b + dataset.x @ w
-    accuracy = float(np.mean((scores >= 0) == dataset.y))
+    accuracy = float(np.mean((design.scores(b, w) >= 0) == dataset.y))
     weights = {int(j): float(w[j]) for j in np.flatnonzero(w)}
     return SparseModel(
         pc=dataset.target_pc,
@@ -223,7 +257,7 @@ def lambda_search(dataset, config, design=None):
     lo = math.log(config.lambda_min)
     hi = math.log(config.lambda_max)
     probes = []
-    design = design or Design(dataset.x)
+    design = design or Design(dataset)
     for _ in range(LAMBDA_PROBES):
         mid = (lo + hi) / 2.0
         model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config, design)
@@ -242,23 +276,23 @@ def lambda_search(dataset, config, design=None):
     return best
 
 
-def predictions(model, dataset):
-    """Sign-rule directions (sum >= 0 -> taken) for every sample."""
-    w = model.weight_vector(dataset.x.shape[1])
-    scores = model.bias + dataset.x @ w
-    return scores >= 0
+def predictions(model, dataset, design=None):
+    """Sign-rule directions (sum >= 0 -> taken) for every sample. `design`:
+    the dataset's `Design`, if the caller has one."""
+    design = design or Design(dataset)
+    return design.scores(model.bias, model.weight_vector(dataset.x.shape[1])) >= 0
 
 
-def eval_accuracy(model, dataset):
+def eval_accuracy(model, dataset, design=None):
     if dataset.m == 0:
         return 0.0
-    return float(np.mean(predictions(model, dataset) == dataset.y))
+    return float(np.mean(predictions(model, dataset, design) == dataset.y))
 
 
-def correct_count(model, dataset):
+def correct_count(model, dataset, design=None):
     if dataset.m == 0:
         return 0
-    return int(np.sum(predictions(model, dataset) == dataset.y))
+    return int(np.sum(predictions(model, dataset, design) == dataset.y))
 
 
 def screen(dataset, screen_cfg):
@@ -269,17 +303,17 @@ def screen(dataset, screen_cfg):
     )
 
 
-def kkt_violation(model, dataset, alpha=1.0):
+def kkt_violation(model, dataset, alpha=1.0, design=None):
     """Max subgradient-condition violation of the elastic-net optimum at model.
 
     Zero coordinates must satisfy |g_j| <= lam*alpha; non-zero ones must have
-    g_j + lam*alpha*sign(w_j) = 0 (L2 part folded into g).
+    g_j + lam*alpha*sign(w_j) = 0 (L2 part folded into g). `design`: the
+    dataset's `Design`, if the caller has one.
     """
-    l = dataset.x.shape[1]
-    w = model.weight_vector(l)
-    z = model.bias + dataset.x @ w
-    r = _sigmoid(z) - dataset.y.astype(np.float64)
-    g = (dataset.x.T @ r) / dataset.m
+    design = design or Design(dataset)
+    w = model.weight_vector(dataset.x.shape[1])
+    r = _sigmoid(design.scores(model.bias, w)) - dataset.y.astype(np.float64)
+    g = (design.columns.T @ r) / dataset.m
     g += model.lam * (1.0 - alpha) * w
     l1 = model.lam * alpha
     zero = w == 0

@@ -14,16 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TraceFormatError, TraceTruncatedError
+from .errors import ConfigError, TraceFormatError, TraceTruncatedError
 
 MAGIC = b"SBPT"
 VERSION = 1
 GAP_ESCAPE = 255
+_ESCAPE = bytes([GAP_ESCAPE])
 
 _HEADER = struct.Struct("<4sHHQ")
 _RECORD = np.dtype([("pc", "<u8"), ("flags", "u1"), ("gap", "u1")])  # 10 bytes, packed
 _RSIZE = _RECORD.itemsize
-_ID_BLOCK = 8192  # records per block of Trace.pc_ids
+_ID_BLOCK = 8192  # records per block of Trace.pc_ids and of a gathered read
+_SCAN_WINDOW = 16  # fewest records a window of the escape scan reads
 
 
 @dataclass
@@ -88,6 +90,67 @@ def write_trace(trace, path):
     Path(path).write_bytes(header + body.tobytes())
 
 
+def _scan(data):
+    """(runs, end) of the records after the header: the number of records in
+    each run, the runs alternating between plain records and escaped ones
+    (whose gap byte escapes to a following u32), plain first; and the offset
+    where the last record ends, past the file if it is cut.
+
+    The records of a run that share the escape state are 10 bytes apart, or
+    14, so a run's gap bytes are one strided slice of the file. It is read in
+    windows that double while the run lasts, up to _ID_BLOCK records; a run's
+    first window is twice as long as the last run of its kind, and at least
+    _SCAN_WINDOW. So the scan is linear in the file size however the runs
+    alternate, although a trace that alternates on every record pays for a
+    window per record."""
+    off, n = _HEADER.size, len(data)
+    escaped, runs = False, array("q")
+    win = [_SCAN_WINDOW, _SCAN_WINDOW]  # records per window, for runs of plain and escaped records
+    while off + _RSIZE <= n:
+        step = _RSIZE + 4 if escaped else _RSIZE
+        count = min(win[escaped], (n - off - _RSIZE) // step + 1)  # gap bytes in the file
+        gaps = data[off + _RSIZE - 1 : off + step * count : step]
+        # k: records before the first of the other kind (find's -1, none, becomes count)
+        k = count - len(gaps.lstrip(_ESCAPE)) if escaped else gaps.find(_ESCAPE) % (count + 1)
+        runs.append(k)
+        off += step * k
+        if k < count:
+            win[escaped] = min(max(2 * k, _SCAN_WINDOW), _ID_BLOCK)
+            escaped = not escaped
+        else:  # the run goes on past this window: an empty run of the other kind
+            win[escaped] = min(2 * win[escaped], _ID_BLOCK)
+            runs.append(0)
+    return runs, off
+
+
+def _gather(data, runs, phase_id):
+    """The trace of the records after the header, in the `runs` of `_scan`.
+    Every record starts an even number of bytes past the header, so each
+    field is read through a view at a 2-byte stride, in blocks of _ID_BLOCK
+    records."""
+
+    def field(dtype, at):  # the values at byte 16 + at + 2k, for every k they fit at
+        size = np.dtype(dtype).itemsize
+        return np.ndarray(((len(data) - _HEADER.size - at - size) // 2 + 1,), dtype, data,
+                          _HEADER.size + at, (2,))
+
+    runs = np.frombuffer(runs, dtype=np.int64)
+    escaped = np.repeat(np.arange(len(runs)) % 2 == 1, runs)  # 14 bytes long
+    count = len(escaped)
+    pc, flags = np.empty(count, np.uint64), np.empty(count, np.uint8)
+    gap = np.empty(count, np.uint32)
+    done = 0  # escaped records before the block
+    for s in range(0, count, _ID_BLOCK):
+        t = slice(s, min(s + _ID_BLOCK, count))
+        e = escaped[t]
+        before = np.cumsum(e) - e + done
+        at = 5 * np.arange(t.start, t.stop) + 2 * before  # record i starts at 16 + 2 at[i]
+        pc[t], flags[t], gap[t] = field("<u8", 0)[at], field("u1", 8)[at], field("u1", 9)[at]
+        gap[t][e] = field("<u4", _RSIZE)[at[e]]
+        done = int(before[-1] + e[-1])
+    return Trace(pc, (flags & 1) != 0, gap, phase_id=phase_id)
+
+
 def read_trace(path):
     """Read a trace file, verifying the header instruction count."""
     data = Path(path).read_bytes()
@@ -98,33 +161,15 @@ def read_trace(path):
         raise TraceFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise TraceFormatError(f"{path}: unsupported version {version}")
-    # Byte scan for the escapes: a record is 10 bytes, 14 when its gap byte
-    # escapes to a following u32. A cut record is reported at its start, a
-    # cut u32 at the u32's.
-    escapes = array("q")
-    off, n = _HEADER.size, len(data)
-    while off + _RSIZE <= n:
-        if data[off + _RSIZE - 1] == GAP_ESCAPE:
-            escapes.append(off)
-            off += _RSIZE + 4
-        else:
-            off += _RSIZE
-    if off != n:
-        raise TraceTruncatedError(off - 4 if off > n else off)
-    # Column reads: drop the u32 gaps to leave whole 10-byte records.
-    body = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
-    if escapes:
-        keep = _gap_mask(len(body), np.frombuffer(escapes, dtype=np.int64) - _HEADER.size)
-        rec = body[keep].view(_RECORD)
-        gap = rec["gap"].astype(np.uint32)
-        np.logical_not(keep, out=keep)  # in place: the mask is as large as the file
-        gap[gap == GAP_ESCAPE] = body[keep].view("<u4")
+    runs, off = _scan(data)
+    if off != len(data):  # a cut record is reported at its start, a cut u32 at the u32's
+        raise TraceTruncatedError(off - 4 if off > len(data) else off)
+    if any(runs[1::2]):
+        trace = _gather(data, runs, phase_id=Path(path).stem)
     else:  # every record is 10 bytes: read the columns from the file bytes
-        rec = body.view(_RECORD)
-        gap = rec["gap"].astype(np.uint32)
-    trace = Trace(
-        rec["pc"].astype(np.uint64), (rec["flags"] & 1) != 0, gap, phase_id=Path(path).stem
-    )
+        rec = np.frombuffer(data, dtype=_RECORD, offset=_HEADER.size)
+        trace = Trace(rec["pc"].astype(np.uint64), (rec["flags"] & 1) != 0,
+                      rec["gap"].astype(np.uint32), phase_id=Path(path).stem)
     if trace.total_instructions != total:
         raise TraceFormatError(
             f"{path}: header claims {total} instructions, records sum to "
@@ -154,6 +199,8 @@ class SyntheticScenario:
             raise ValueError("branch_frequency must be in [0, 1]")
         if not 0.0 <= self.offload_ratio <= 1.0:
             raise ValueError("offload_ratio must be in [0, 1]")
+        if self.noise_branches < 0:
+            raise ConfigError(f"noise_branches {self.noise_branches}: need 0 or more")
         if self.kind == "correlated" and self.correlation_distance < 1:
             raise ValueError("correlation_distance must be >= 1")
         if self.kind == "loop" and self.loop_period < 2:

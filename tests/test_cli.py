@@ -391,3 +391,43 @@ def test_baseline_size_limits_accepted(tmp_path, capsys):
                   ["--tage-entries", 0]):  # only the chosen baseline's size is checked
         assert run_cli("simulate", "--trace", trace, "--gh", 32, "--lh", 4, *flags,
                        "-o", tmp_path / "r.json") == 0
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "0", "-1"])
+def test_bad_eta_rejected_before_any_work(tmp_path, capsys, eta):
+    # the trace does not exist: exit 2 (not 1) shows that --eta was checked first
+    assert run_cli("online", "--trace", tmp_path / "missing.sbpt", f"--eta={eta}") == 2
+    assert capsys.readouterr().err.startswith("sbp: eta ")
+
+
+def test_negative_noise_branches_rejected(tmp_path, capsys):
+    out = tmp_path / "c.sbpt"
+    assert run_cli("gen", "--kind", "correlated", "--m", -1, "--len", 100, "-o", out) == 2
+    assert capsys.readouterr().err.startswith("sbp: noise_branches -1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mpki", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("with_baselines", [False, True])
+def test_report_rejects_non_finite_mpki(tmp_path, capsys, mpki, with_baselines):
+    report = tmp_path / "r.json"
+    report.write_text(f'{{"mpki": {mpki}, "phase_id": "p"}}')
+    flags = ["--baseline-reports", report] if with_baselines else []
+    capsys.readouterr()
+    assert run_cli("report", "--scurve", report, *flags) == 1
+    assert capsys.readouterr().err.startswith(f"sbp: {report}: mpki ")
+
+
+def test_simulate_rejects_hint_file_of_another_lh(tmp_path, capsys):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    hints = tmp_path / "h.sbph"
+    encode_hintset(empty_hintset(4, 16, 8, phase_id="loop"), hints)
+    capsys.readouterr()
+    for lh in (0, 16):
+        assert run_cli("simulate", "--trace", trace, "--gh", 16, "--lh", lh,
+                       "--hints", hints) == 2
+        assert capsys.readouterr().err == (
+            f"sbp: {hints}: hint file lh 4 disagrees with --lh {lh}\n")
+    assert run_cli("simulate", "--trace", trace, "--gh", 16, "--lh", 4, "--hints", hints,
+                   "-o", tmp_path / "r.json") == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbp.errors import ConfigError
 from sbp.history import HistoryConfig, collect_datasets
 from sbp.online_sgd import OnlineConfig, run_online
 from sbp.trace_io import (
@@ -105,6 +106,10 @@ def test_online_config_validation():
     with pytest.raises(ValueError):  # halving would take lambda to 0
         OnlineConfig(lambda_init=0.01, lambda_min=0.0)
     OnlineConfig(lambda_init=0.0, lambda_min=0.0)
+    for eta in (math.nan, math.inf, -math.inf, 0.0, -0.05):
+        with pytest.raises(ConfigError, match="eta"):
+            OnlineConfig(eta=eta)
+    OnlineConfig(eta=5e-324)
 
 
 def test_run_online_learns_loop():

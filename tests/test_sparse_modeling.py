@@ -204,7 +204,7 @@ def test_no_float32_feature_cache():
 
 def test_design_maps_each_column_to_its_first_twin():
     x = np.array([[1, -1, 1, 1, -1], [-1, -1, -1, 1, -1], [1, 1, 1, -1, 1]], dtype=np.int8)
-    design = Design(x)
+    design = Design(make_dataset(x, [True, False, False]))
     assert design.first == [0, 1, 0, 3, 1]
     assert design.columns.flags.f_contiguous
     assert np.array_equal(design.columns, x)
@@ -220,7 +220,7 @@ def test_twin_columns_give_identical_dot_products(m):
     for distinct, l in [(1, 9), (3, 12), (8, 16), (20, 20)]:  # (1, 9): all identical
         base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, distinct))
         x = np.ascontiguousarray(base[:, rng.integers(0, distinct, l)])
-        design = Design(x)
+        design = Design(make_dataset(x, np.zeros(m, dtype=bool)))
         exact = x.T.astype(np.int64) @ x.astype(np.int64)
         assert design.gram.dtype == np.float64
         assert np.array_equal(design.gram, exact)
@@ -233,11 +233,13 @@ def test_twin_columns_give_identical_dot_products(m):
 
 
 def test_design_is_built_on_first_use():
-    x = np.ones((4, 3), dtype=np.int8)
-    design = Design(x)
-    assert vars(design) == {"x": x}  # nothing computed yet
+    ds = make_dataset(np.ones((4, 3), dtype=np.int8), [True, False, True, True])
+    design = Design(ds)
+    assert vars(design) == {"x": ds.x, "y": ds.y}  # nothing computed yet
     assert design.first == [0, 0, 0]
-    assert set(vars(design)) == {"x", "columns", "gram", "first"}
+    assert set(vars(design)) == {"x", "y", "columns", "gram", "first"}
+    design.scores(0.0, np.zeros(3))
+    assert set(vars(design)) == {"x", "y", "columns", "gram", "first", "rows"}
 
 
 def _scores(model, ds):
@@ -290,7 +292,7 @@ def test_fit_equals_reference_solver(problem):
     ds, lam, alpha, cfg = problem
     expect = reference_cd.fit(ds, lam, alpha, cfg)
     assert_matches_reference(fit(ds, lam, alpha, cfg), expect, ds, alpha)
-    assert fit(ds, lam, alpha, cfg, Design(ds.x)) == fit(ds, lam, alpha, cfg)
+    assert fit(ds, lam, alpha, cfg, Design(ds)) == fit(ds, lam, alpha, cfg)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
@@ -302,7 +304,7 @@ def test_search_and_dedup_equal_reference(request, which, alpha):
     screened = [ds for ds in datasets.values() if ds.m >= 1000]
     assert screened
     for ds in screened:
-        design = Design(ds.x)
+        design = Design(ds)
         searched = lambda_search(ds, cfg, design)
         model = dedup(ds, searched, cfg, design)
         expect_searched = reference_cd.lambda_search(ds, cfg)
@@ -312,3 +314,45 @@ def test_search_and_dedup_equal_reference(request, which, alpha):
         refit_alpha = alpha if model is searched or alpha < 1.0 else 0.5
         assert_matches_reference(model, expect, ds, refit_alpha)
         assert dedup(ds, lambda_search(ds, cfg), cfg) == model
+
+
+@pytest.mark.parametrize("m, l", [(1, 1), (2, 100), (7, 3), (64, 16), (1001, 80),
+                                  (1920, 80), (4096, 33), (6987, 80), (7000, 100)])
+def test_design_scores_are_the_bits_of_int8_products(m, l):
+    # every score in the package comes from Design.scores, over a row-major
+    # float64 copy; numpy's int8 `x @ w` casts in row-major order, so the two
+    # must agree bit for bit, whatever the BLAS does with either
+    rng = np.random.default_rng(m * 101 + l)
+    x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
+    design = Design(make_dataset(x, rng.random(m) < 0.5))
+    for nnz in (0, 1, 3, l):
+        w = np.zeros(l)
+        w[rng.choice(l, size=min(nnz, l), replace=False)] = rng.normal(0.0, 1.0, min(nnz, l))
+        bias = float(rng.normal())
+        assert design.scores(bias, w).tobytes() == (bias + x @ w).tobytes(), nnz
+    r = rng.normal(0.0, 1.0, m)  # `x.T @ r` casts x.T in its row-major order
+    assert (design.columns.T @ r).tobytes() == (x.T @ r).tobytes()
+    assert design.rows.flags.c_contiguous
+
+
+def test_one_design_serves_fits_in_any_order():
+    ds = bernoulli_dataset(3000, 24, lambda row: row[2] == 1 or row[9] == row[11], seed=12)
+    cfg = SolverConfig()
+    design = Design(ds)
+    first, second, third = (fit(ds, lam, 1.0, cfg, design) for lam in (0.01, 0.002, 0.01))
+    assert first == third == fit(ds, 0.01, 1.0, cfg)
+    assert second == fit(ds, 0.002, 1.0, cfg)
+    assert first != second
+
+
+def test_scoring_with_a_design_equals_scoring_without():
+    ds = bernoulli_dataset(800, 10, lambda row: row[0] + row[4] - row[7] > 0, seed=13)
+    cfg = SolverConfig()
+    design = Design(ds)
+    for alpha in (1.0, 0.5):
+        model = fit(ds, 0.005, alpha, cfg, design)
+        assert model.nnz > 0
+        assert np.array_equal(predictions(model, ds, design), predictions(model, ds))
+        assert correct_count(model, ds, design) == correct_count(model, ds)
+        assert eval_accuracy(model, ds, design) == eval_accuracy(model, ds) == model.accuracy
+        assert kkt_violation(model, ds, alpha, design) == kkt_violation(model, ds, alpha)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbp.errors import TraceFormatError, TraceTruncatedError
+from sbp.errors import ConfigError, TraceFormatError, TraceTruncatedError
 from sbp.trace_io import (
     PC_A,
     PC_B,
@@ -163,6 +163,8 @@ def test_scenario_validation():
         SyntheticScenario(kind="correlated", length=10, correlation_distance=0)
     with pytest.raises(ValueError):
         SyntheticScenario(kind="utilization", length=10, branch_frequency=1.5)
+    with pytest.raises(ConfigError, match="noise_branches"):
+        SyntheticScenario(kind="correlated", length=10, noise_branches=-1)
 
 
 def test_empty_utilization_trace():
@@ -231,3 +233,57 @@ def test_reader_takes_direction_from_flag_bit_0(tmp_path):
     data[26 + 8] = 0x03
     assert records_of(read_bytes(bytes(data))) == reference_read(bytes(data)) == [
         (1, False, 0), (2, True, 300)]
+
+
+@st.composite
+def alternating_runs(draw, longest):
+    """Records in runs that alternate between escaped gaps and plain ones:
+    the scan's hardest layout."""
+    lengths = draw(st.lists(st.integers(1, longest), min_size=1, max_size=12))
+    escaped = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for n in lengths:
+        for _ in range(n):
+            gap = rng.choice([255, 256, 2**32 - 1]) if escaped else rng.choice([0, 7, 254])
+            records.append((rng.choice([0, 255, 2**64 - 1, rng.getrandbits(64)]),
+                            rng.random() < 0.5, gap))
+        escaped = not escaped
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(alternating_runs(longest=40))
+def test_alternating_escape_runs_match_per_record_reader(records):
+    data = reference_write(records)
+    assert records_of(read_bytes(data)) == reference_read(data) == records
+
+
+@settings(max_examples=25, deadline=None)
+@given(alternating_runs(longest=5))
+def test_every_truncation_of_alternating_runs_matches_per_record_reader(records):
+    data = reference_write(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.sbpt"
+        for cut in range(16, len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(TraceFormatError) as ref:
+                reference_read(data[:cut])
+            with pytest.raises(TraceFormatError) as got:
+                read_trace(path)
+            assert type(got.value) is type(ref.value)
+            if isinstance(ref.value, TraceTruncatedError):
+                assert got.value.offset == ref.value.offset
+
+
+def test_long_runs_and_blocks_match_per_record_reader(tmp_path):
+    # runs longer than a scan window and traces longer than a gather block
+    rng = random.Random(14)
+    records = []
+    for n, share in [(20_000, 0.0), (9_000, 1.0), (3, 0.0), (12_000, 0.01), (10_000, 0.5)]:
+        records += [(rng.getrandbits(64), rng.random() < 0.5,
+                     rng.randrange(255, 2**32) if rng.random() < share else rng.randrange(255))
+                    for _ in range(n)]
+    path = tmp_path / "long.sbpt"
+    path.write_bytes(reference_write(records))
+    assert records_of(read_trace(path)) == records
