@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, SbpError
 from .history import HistoryConfig, collect_datasets
-from .hints import QuantSpec, decode_hintset, encode_hintset
+from .hints import U16_MAX, QuantSpec, decode_hintset, encode_hintset
 from .predictors import TageLiteConfig
 from .simulator import (
     SimConfig,
@@ -46,27 +46,24 @@ def _add_baseline_flags(p):
 
 
 def _add_q_flag(p):
-    # Parsed (and rejected with a ConfigError) before the command starts.
-    p.add_argument(
-        "--q", type=QuantSpec.parse, default="3.4", help="quantization: 3.4, 3.12, or fp32"
-    )
+    p.add_argument("--q", default="3.4", help="quantization: 3.4, 3.12, or fp32")
 
 
-def _budget_kb(text):
-    """--budget-kb, checked while the flags are parsed: a finite size of at
-    least one bit."""
-    kb = float(text)
+def _check_flags(args):
+    """Rejects, with a ConfigError, the flag values that no command can run
+    with, before any input is read, and parses --q. (argparse would report a
+    ConfigError raised by a `type` function as its own usage error.)"""
+    for flag in ("gh", "lh"):
+        bits = getattr(args, flag, 0)
+        if not 0 <= bits <= U16_MAX:
+            raise ConfigError(f"--{flag} {bits}: must be 0 to {U16_MAX}, as the hint file holds it")
+    kb = getattr(args, "budget_kb", 1.0)
     if not math.isfinite(kb) or int(kb * 8192) < 1:
-        raise ConfigError(f"--budget-kb {text}: need a finite budget of at least 1 bit (1/8192 KB)")
-    return kb
-
-
-def _alpha(text):
-    """--alpha, checked while the flags are parsed: an L1 share in [0, 1]."""
-    alpha = float(text)
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"--alpha {text}: must be in [0, 1]")
-    return alpha
+        raise ConfigError(f"--budget-kb {kb:g}: need a finite budget of at least 1 bit (1/8192 KB)")
+    if not 0.0 <= getattr(args, "alpha", 1.0) <= 1.0:
+        raise ConfigError(f"--alpha {args.alpha:g}: must be in [0, 1]")
+    if hasattr(args, "q"):
+        args.q = QuantSpec.parse(args.q)
 
 
 MAX_GSHARE_BITS = 24
@@ -117,7 +114,7 @@ def build_parser():
     t.add_argument("--trace", required=True)
     _add_history_flags(t)
     t.add_argument("--min-occurrences", type=int, default=10_000)
-    t.add_argument("--alpha", type=_alpha, default=1.0, help="elastic-net L1 mixing")
+    t.add_argument("--alpha", type=float, default=1.0, help="elastic-net L1 mixing")
     t.add_argument("-o", "--output", required=True, help="models JSON file")
     t.add_argument("--dump-text", help="directory for per-branch text dumps")
 
@@ -127,7 +124,7 @@ def build_parser():
     _add_history_flags(s)
     _add_baseline_flags(s)
     s.add_argument("--policy", choices=["independent", "relative"], default="relative")
-    s.add_argument("--budget-kb", type=_budget_kb, required=True)
+    s.add_argument("--budget-kb", type=float, required=True)
     _add_q_flag(s)
     s.add_argument("-o", "--output", required=True, help="hint file (.sbph)")
 
@@ -143,7 +140,7 @@ def build_parser():
     _add_history_flags(p)
     _add_baseline_flags(p)
     p.add_argument("--policy", choices=["independent", "relative"], default="relative")
-    p.add_argument("--budget-kb", type=_budget_kb, required=True)
+    p.add_argument("--budget-kb", type=float, required=True)
     _add_q_flag(p)
     p.add_argument("--min-occurrences", type=int, default=10_000)
     p.add_argument("--out-dir", required=True)
@@ -186,8 +183,8 @@ def _cmd_gen(args):
 
 
 def _cmd_train(args):
-    trace = read_trace(args.trace)
     history = HistoryConfig(args.gh, args.lh)
+    trace = read_trace(args.trace)
     screen_cfg = BranchScreen(min_occurrences=args.min_occurrences)
     solver = SolverConfig(elasticnet_alpha=args.alpha)
     models = train_models(trace, history, screen_cfg, solver)
@@ -349,11 +346,14 @@ def _cmd_pipeline(args):
 
 def _cmd_online(args):
     config = OnlineConfig(eta=args.eta)
-    trace = read_trace(args.trace)
-    history = HistoryConfig(args.gh, args.lh)
     targets = None
     if args.targets != "all":
-        targets = {int(t, 0) for t in args.targets.split(",")}
+        try:
+            targets = {int(t, 0) for t in args.targets.split(",")}
+        except ValueError:
+            raise ConfigError(f"--targets {args.targets}: need 'all' or PCs like 0x2000") from None
+    history = HistoryConfig(args.gh, args.lh)
+    trace = read_trace(args.trace)
     results = run_online(trace, history, target_pcs=targets, config=config)
     payload = {
         str(pc): {
@@ -445,6 +445,7 @@ def _parser():
 def dispatch(argv):
     try:
         args = _parser().parse_args(argv)
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"sbp: {e}", file=sys.stderr)

@@ -18,5 +18,5 @@ class HintFormatError(SbpError):
     """Malformed hint file (bad magic, size mismatch, or invalid payload)."""
 
 
-class ConfigError(SbpError):
+class ConfigError(SbpError, ValueError):
     """Inconsistent configuration (e.g. hint file disagrees with simulator setup)."""

@@ -1,13 +1,14 @@
 """Model compression and hint-set assembly.
 
 Covers Q[I].[F] weight quantization, duplicate-history-column collapsing,
-candidate scoring/selection under a bit budget, the closed-form storage
-accounting, and the bit-packed hint file (magic "SBPH").
+candidate scoring/selection under a bit budget, and the CAM slot layout that
+both the storage accounting and the bit-packed hint file (magic "SBPH") read.
 """
 
+import itertools
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 from .errors import ConfigError, HintFormatError
 from .sparse_modeling import Design, eval_accuracy, fit
@@ -16,6 +17,7 @@ HINT_MAGIC = b"SBPH"
 HINT_VERSION = 1
 FP32_WIDTH = 32  # q value meaning "unquantized float32 weights"
 PC_BITS = 64  # branch PC width (p) of every hint set the framework builds
+U16_MAX = 0xFFFF  # largest lh, gh, N, nnz, q or p: the hint file header holds them as u16
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class SlbiuConfig:
     n: int  # max hints (N)
     nnz: int  # max non-zero weights per hint
     q: int  # weight bit-width
-    p: int = PC_BITS  # branch PC bit-width
+    p: int = PC_BITS  # branch PC bit-width; the fields are in the hint file header's order
 
 
 def index_bits(lh, gh):
@@ -125,15 +127,17 @@ def index_bits(lh, gh):
     return (total - 1).bit_length() if total > 1 else 0
 
 
+def slot_widths(config):
+    """The bit widths of one CAM slot's fields, in payload order: pc, intercept,
+    nnz (history index, weight) pairs, and the lh-bit LHR image that the
+    runtime reserves. The codec and the storage accounting both read it."""
+    pair = [index_bits(config.lh, config.gh), config.q]
+    return [config.p, config.q] + pair * config.nnz + [config.lh]
+
+
 def storage_bits(config):
     """Total CAM bits: N * (p + q + nnz*q + nnz*ceil(log2(lh+gh)) + lh)."""
-    return config.n * (
-        config.p
-        + config.q
-        + config.nnz * config.q
-        + config.nnz * index_bits(config.lh, config.gh)
-        + config.lh
-    )
+    return config.n * sum(slot_widths(config))
 
 
 @dataclass
@@ -189,7 +193,6 @@ class ScoredCandidate:
     model: object  # SparseModel, compressed
     offline_correct: int
     primary_correct: int
-    score: int | None = None  # None = dropped
 
 
 def score(candidate, policy):
@@ -208,9 +211,10 @@ def select(candidates, policy, budget_bits, p, q, lh, gh, phase_id=""):
     """Grid-search (N, nnz) pairs within budget and keep the best-scoring set.
 
     For each nnz cap from 1 to the max candidate nnz, N is the largest count
-    fitting the budget. Candidates scoring <= 0 (no benefit) or exceeding the
-    cap are discarded; the rest rank by score desc (ties: smaller nnz, then
-    smaller pc). The pair with the highest score sum wins (tie: larger N).
+    fitting the budget, at most U16_MAX (the hint file's N field). Candidates
+    scoring <= 0 (no benefit) or exceeding the cap are discarded; the rest
+    rank by score desc (ties: smaller nnz, then smaller pc). The pair with
+    the highest score sum wins (tie: larger N).
     """
     if budget_bits <= 0:
         raise ValueError("budget_bits must be positive")
@@ -222,7 +226,8 @@ def select(candidates, policy, budget_bits, p, q, lh, gh, phase_id=""):
     best = None  # (total_score, n, nnz_cap, chosen)
     max_nnz = max((c.model.nnz for _, c in scored), default=0)
     for cap in range(1, max_nnz + 1):
-        n = budget_bits // storage_bits(SlbiuConfig(lh=lh, gh=gh, n=1, nnz=cap, q=q, p=p))
+        slot = storage_bits(SlbiuConfig(lh=lh, gh=gh, n=1, nnz=cap, q=q, p=p))
+        n = min(budget_bits // slot, U16_MAX)
         if n == 0:
             continue
         pool = [(s, c) for s, c in scored if c.model.nnz <= cap]
@@ -245,39 +250,6 @@ def select(candidates, policy, budget_bits, p, q, lh, gh, phase_id=""):
     return hs, (n, cap)
 
 
-class _BitWriter:
-    def __init__(self):
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value, width):
-        if width == 0:
-            return
-        self.acc = (self.acc << width) | (value & ((1 << width) - 1))
-        self.nbits += width
-
-    def to_bytes(self):
-        pad = -self.nbits % 8
-        return (self.acc << pad).to_bytes((self.nbits + pad) // 8, "big")
-
-
-class _BitReader:
-    def __init__(self, data, nbits):
-        self.acc = int.from_bytes(data, "big")
-        self.total = len(data) * 8
-        self.pos = 0
-        self.nbits = nbits
-
-    def read(self, width):
-        if width == 0:
-            return 0
-        if self.pos + width > self.nbits:
-            raise HintFormatError("hint payload exhausted")
-        v = (self.acc >> (self.total - self.pos - width)) & ((1 << width) - 1)
-        self.pos += width
-        return v
-
-
 def _weight_to_bits(v, qspec):
     if qspec is None:
         return struct.unpack("<I", struct.pack("<f", v))[0]
@@ -292,36 +264,37 @@ def _weight_from_bits(bits, q, qspec):
     return bits / (1 << qspec.fraction_bits)
 
 
+def _slot_bits(h, nnz, qspec, widths):
+    """A hint's slot as binary digits: its fields in `slot_widths` order, each
+    cut to its width, zero pairs up to the nnz cap and a zero LHR image."""
+    values = [h.pc, _weight_to_bits(h.intercept, qspec)]
+    for j, wv in h.entries:
+        values += [j, _weight_to_bits(wv, qspec)]
+    values += [0, 0] * (nnz - h.nnz) + [0]
+    # the leading 1 keeps each field's leading zeros, and gives "" for width 0
+    return "".join(format(v & ((1 << w) - 1) | 1 << w, "b")[1:] for v, w in zip(values, widths))
+
+
 def encode_hintset(hs, path):
-    """Write the hint file; the hint-array payload is exactly storage_bits(config)
-    bits (N slots, absent/partial slots zero-padded, plus lh reserved LHR bits
-    per slot)."""
+    """Write the hint file. The payload is storage_bits(config) bits: the
+    hints' slots, then the empty CAM slots and the byte padding as zeros."""
     cfg = hs.config
     qspec = _spec_for_width(cfg.q)
-    ib = index_bits(cfg.lh, cfg.gh)
-    bw = _BitWriter()
-    for h in hs.hints:
-        bw.write(h.pc, cfg.p)
-        bw.write(_weight_to_bits(h.intercept, qspec), cfg.q)
-        for j, wv in h.entries:
-            bw.write(j, ib)
-            bw.write(_weight_to_bits(wv, qspec), cfg.q)
-        for _ in range(cfg.nnz - h.nnz):  # zero padding up to the nnz cap
-            bw.write(0, ib)
-            bw.write(0, cfg.q)
-        bw.write(0, cfg.lh)  # reserved runtime LHR image
-    for _ in range(cfg.n - len(hs.hints)):  # empty CAM slots
-        bw.write(0, storage_bits(replace(cfg, n=1)))
-    assert bw.nbits == storage_bits(cfg)
     phase = hs.phase_id.encode("utf-8")
-    if len(phase) > 0xFFFF:
-        raise HintFormatError(f"phase id is {len(phase)} bytes, the hint file holds at most 65535")
+    for name, value in {"phase id bytes": len(phase), **asdict(cfg)}.items():
+        if not 0 <= value <= U16_MAX:
+            raise HintFormatError(f"{name} {value} does not fit the hint file's u16 field")
+    payload_bits = storage_bits(cfg)
+    if payload_bits > 0xFFFF_FFFF:
+        raise HintFormatError(f"payload of {payload_bits} bits does not fit the hint file's u32")
+    widths = slot_widths(cfg)
+    bits = "".join(_slot_bits(h, cfg.nnz, qspec, widths) for h in hs.hints)
+    pad = payload_bits - len(bits) + -payload_bits % 8  # empty slots, then to a whole byte
+    payload = (int(bits or "0", 2) << pad).to_bytes((payload_bits + 7) // 8, "big")
     header = HINT_MAGIC + struct.pack("<HHH", HINT_VERSION, len(hs.hints), len(phase))
-    header += phase
-    header += struct.pack("<6H", cfg.lh, cfg.gh, cfg.n, cfg.nnz, cfg.q, cfg.p)
-    header += struct.pack("<I", bw.nbits)
+    header += phase + struct.pack("<6HI", *astuple(cfg), payload_bits)
     with open(path, "wb") as f:
-        f.write(header + bw.to_bytes())
+        f.write(header + payload)
 
 
 def decode_hintset(path):
@@ -342,32 +315,27 @@ def decode_hintset(path):
     if version != HINT_VERSION:
         raise HintFormatError(f"{path}: unsupported version {version}")
     phase_id = take(phase_len, "phase id").decode("utf-8")
-    lh, gh, n, nnz, q, p = struct.unpack("<6H", take(12, "config"))
+    cfg = SlbiuConfig(*struct.unpack("<6H", take(12, "config")))
     (payload_bits,) = struct.unpack("<I", take(4, "payload size"))
-    cfg = SlbiuConfig(lh=lh, gh=gh, n=n, nnz=nnz, q=q, p=p)
-    if payload_bits != storage_bits(cfg):
-        raise HintFormatError(
-            f"{path}: payload is {payload_bits} bits, config requires {storage_bits(cfg)}"
-        )
+    if n_hints > cfg.n:  # the slots past N would read as zeros
+        raise HintFormatError(f"{path}: {n_hints} hints exceed capacity N={cfg.n}")
+    if payload_bits != (need := storage_bits(cfg)):
+        raise HintFormatError(f"{path}: payload is {payload_bits} bits, config requires {need}")
     payload = data[off:]
     if len(payload) != (payload_bits + 7) // 8:
         raise HintFormatError(f"{path}: payload size mismatch")
-    qspec = _spec_for_width(q)
-    ib = index_bits(lh, gh)
-    br = _BitReader(payload, payload_bits)
-    slots = []  # (pc, intercept, entries) of each hint
-    for _ in range(n_hints):
-        pc = br.read(p)
-        intercept = _weight_from_bits(br.read(q), q, qspec)
-        entries = []
-        for _ in range(nnz):
-            j = br.read(ib)
-            wv = _weight_from_bits(br.read(q), q, qspec)
-            if wv != 0.0:
-                entries.append((j, wv))
-        br.read(lh)
-        slots.append((pc, intercept, entries))
+    qspec = _spec_for_width(cfg.q)
+    bits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")
+    bounds = list(itertools.accumulate(slot_widths(cfg), initial=0))
+    fields, size = list(zip(bounds, bounds[1:])), bounds[-1]
+    hints = []
     try:  # the field widths admit hints that a HintSet rejects
-        return HintSet(phase_id, cfg, [SparsityHint(*slot, qspec) for slot in slots])
+        for base in range(0, n_hints * size, size):
+            slot = bits[base : base + size]
+            pc, *raw, _lhr = [int(slot[a:b] or "0", 2) for a, b in fields]  # "": a 0-bit field
+            weights = [_weight_from_bits(r, cfg.q, qspec) for r in raw[::2]]  # intercept first
+            entries = [(j, wv) for j, wv in zip(raw[1::2], weights[1:]) if wv != 0.0]
+            hints.append(SparsityHint(pc, weights[0], entries, qspec))
+        return HintSet(phase_id, cfg, hints)
     except ValueError as e:
         raise HintFormatError(f"{path}: {e}") from None

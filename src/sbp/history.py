@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import ConfigError
+
 GATHER_ROWS = 128  # sample rows gathered at a time, bounding the temporaries
 
 
@@ -24,7 +26,7 @@ class HistoryConfig:
 
     def __post_init__(self):
         if self.gh < 0 or self.lh < 0 or self.gh + self.lh < 1:
-            raise ValueError("need gh >= 0, lh >= 0, gh + lh >= 1")
+            raise ConfigError(f"gh {self.gh}, lh {self.lh}: need gh >= 0, lh >= 0, gh + lh >= 1")
 
     @property
     def l(self):

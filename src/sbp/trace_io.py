@@ -192,19 +192,23 @@ class SyntheticScenario:
 
     def __post_init__(self):
         if self.kind not in ("correlated", "loop", "utilization"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+            raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.length < 1:
-            raise ValueError("length must be >= 1")
+            raise ConfigError(f"length {self.length}: need 1 or more")
         if not 0.0 <= self.branch_frequency <= 1.0:
-            raise ValueError("branch_frequency must be in [0, 1]")
+            raise ConfigError(f"branch_frequency {self.branch_frequency}: must be in [0, 1]")
         if not 0.0 <= self.offload_ratio <= 1.0:
-            raise ValueError("offload_ratio must be in [0, 1]")
+            raise ConfigError(f"offload_ratio {self.offload_ratio}: must be in [0, 1]")
         if self.noise_branches < 0:
             raise ConfigError(f"noise_branches {self.noise_branches}: need 0 or more")
         if self.kind == "correlated" and self.correlation_distance < 1:
-            raise ValueError("correlation_distance must be >= 1")
+            raise ConfigError(f"correlation_distance {self.correlation_distance}: need 1 or more")
+        if self.kind == "correlated" and self.length < self.noise_branches + 2:
+            raise ConfigError(
+                f"length {self.length} cannot hold one {self.noise_branches + 2}-record block"
+            )
         if self.kind == "loop" and self.loop_period < 2:
-            raise ValueError("loop_period must be >= 2")
+            raise ConfigError(f"loop_period {self.loop_period}: need 2 or more")
 
 
 # Fixed synthetic PC map: A, noise branches, target B, loop branch, utilization pool.
@@ -226,8 +230,6 @@ def gen_correlated(scenario):
     k = scenario.correlation_distance
     block = m + 2
     blocks = scenario.length // block
-    if blocks < 1:
-        raise ValueError(f"length {scenario.length} cannot hold one {block}-record block")
     rng = random.Random(scenario.seed)
     block_pcs = [PC_A] + [PC_NOISE_BASE + 8 * i for i in range(m)] + [PC_B]
     taken = []

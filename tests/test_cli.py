@@ -1,9 +1,23 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbp.cli import build_parser, dispatch
-from sbp.hints import decode_hintset, empty_hintset, encode_hintset
+from sbp.hints import (
+    Q3_4,
+    HintSet,
+    SlbiuConfig,
+    SparsityHint,
+    decode_hintset,
+    empty_hintset,
+    encode_hintset,
+)
 from sbp.trace_io import PC_B, read_trace
 from tests.conftest import write_out_of_range_hint
 
@@ -431,3 +445,91 @@ def test_simulate_rejects_hint_file_of_another_lh(tmp_path, capsys):
             f"sbp: {hints}: hint file lh 4 disagrees with --lh {lh}\n")
     assert run_cli("simulate", "--trace", trace, "--gh", 16, "--lh", 4, "--hints", hints,
                    "-o", tmp_path / "r.json") == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--kind", "loop", "--len", 0], "length 0"),
+    (["gen", "--kind", "loop", "--s", 1, "--len", 100], "loop_period 1"),
+    (["gen", "--kind", "correlated", "--k", 0, "--len", 100], "correlation_distance 0"),
+    (["gen", "--kind", "utilization", "--branch-frequency", 2, "--len", 100], "branch_frequency"),
+    (["gen", "--kind", "correlated", "--m", 8, "--len", 5], "length 5 cannot hold"),
+    (["simulate", "--trace", "missing.sbpt", "--gh", -1], "--gh -1"),
+    (["simulate", "--trace", "missing.sbpt", "--gh", 0, "--lh", 0], "gh 0, lh 0"),
+    (["online", "--trace", "missing.sbpt", "--targets", "zz"], "--targets zz"),
+])
+def test_configuration_errors_exit_2(tmp_path, capsys, argv, message):
+    # the output is never written and the trace never read: the check comes first
+    out = tmp_path / "t.sbpt"
+    capsys.readouterr()
+    assert run_cli(*argv, *(["-o", out] if argv[0] == "gen" else [])) == 2
+    assert capsys.readouterr().err.startswith(f"sbp: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--gh", "--lh"])
+@pytest.mark.parametrize("command", ["train", "select", "simulate", "pipeline", "online"])
+def test_history_lengths_past_the_hint_header_rejected(tmp_path, capsys, flag, command):
+    missing = tmp_path / "missing.sbpt"  # never read: the flag check comes first
+    argv = {
+        "train": ["train", "--trace", missing, "-o", tmp_path / "m.json"],
+        "select": ["select", "--models", tmp_path / "none.json", "--trace", missing,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph"],
+        "simulate": ["simulate", "--trace", missing],
+        "pipeline": ["pipeline", "--traces", missing, "--budget-kb", 1,
+                     "--out-dir", tmp_path / "out"],
+        "online": ["online", "--trace", missing],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, flag, 70_000) == 2
+    assert capsys.readouterr().err == (
+        f"sbp: {flag} 70000: must be 0 to 65535, as the hint file holds it\n")
+
+
+def test_select_caps_n_at_the_hint_header(tmp_path):
+    # 3000 KB holds some 245k slots of this geometry; the header's N holds 65535
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    model = _model(bias=1, weights={"0": -2, "3": 1.5}, accuracy=1)
+    models.write_text(json.dumps({"gh": 4, "lh": 0, "models": {"12288": model}}))
+    hints = tmp_path / "h.sbph"
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--policy", "independent", "--budget-kb", 3000, "-o", hints) == 0
+    hs = decode_hintset(hints)
+    assert hs.config.n == 65_535 and [h.pc for h in hs.hints] == [0x3000]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A loop trace and a valid hint file for it (gh 4, lh 2, three slots)."""
+    base = tmp_path_factory.mktemp("fuzz")
+    trace = base / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--s", 3, "--len", 300, "-o", trace) == 0
+    hs = HintSet("loop", SlbiuConfig(lh=2, gh=4, n=3, nnz=2, q=8),
+                 [SparsityHint(0x3000, 0.5, [(0, -1.0), (2, 2.0)], Q3_4),
+                  SparsityHint(0x3008, -0.25, [(5, 0.75)], Q3_4)])
+    hints = base / "h.sbph"
+    encode_hintset(hs, hints)
+    return trace, hints.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_simulate_survives_mutated_hint_files(fuzz_inputs, data):
+    """A truncated or bit-flipped hint file ends in exit 0, or in 1 or 2 with
+    an `sbp:` message: never in an exception."""
+    trace, original = fuzz_inputs
+    mutated = bytearray(original[: data.draw(st.integers(0, len(original)), label="size")])
+    flips = data.draw(st.lists(st.integers(0, 8 * len(original) - 1), max_size=3), label="flips")
+    for bit in flips:
+        if bit < 8 * len(mutated):
+            mutated[bit // 8] ^= 1 << (bit % 8)
+    with tempfile.TemporaryDirectory() as tmp:
+        hints = Path(tmp) / "h.sbph"
+        hints.write_bytes(bytes(mutated))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run_cli("simulate", "--trace", trace, "--gh", 4, "--lh", 2, "--hints", hints,
+                         "-o", Path(tmp) / "r.json")
+    assert rc in (0, 1, 2)
+    assert rc == 0 or err.getvalue().startswith("sbp: ")

@@ -1,6 +1,7 @@
 import random
 import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from sbp.hints import (
     FP32_WIDTH,
     Q3_4,
     Q3_12,
+    U16_MAX,
     HintSet,
     QuantSpec,
     ScoredCandidate,
@@ -33,6 +35,7 @@ from sbp.hints import (
 )
 from sbp.sparse_modeling import SolverConfig, SparseModel, fit, lambda_search, predictions
 from sbp.trace_io import PC_LOOP, SyntheticScenario, gen_loop
+from tests import reference_hints
 from tests.conftest import write_out_of_range_hint
 
 
@@ -333,3 +336,61 @@ def test_hint_codec_round_trips(hs):
     (payload_bits,) = struct.unpack_from("<I", data, header)
     assert payload_bits == storage_bits(hs.config)
     assert len(data) - header - 4 == (payload_bits + 7) // 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(hint_sets())
+def test_codec_matches_the_reference_codec(hs):
+    """The hint file is byte for byte the one the field-by-field reference
+    writes, and both decoders read it back alike."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.sbph", Path(tmp) / "ref.sbph"
+        encode_hintset(hs, ours)
+        reference_hints.encode_hintset(hs, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert decode_hintset(ours) == reference_hints.decode_hintset(ours) == hs
+    assert storage_bits(hs.config) == reference_hints.storage_bits(hs.config)
+
+
+def test_codec_round_trips_a_full_header(tmp_path):
+    """The largest N the header holds and a few thousand hints below the nnz
+    cap; the reference encoder, quadratic in the payload size, takes hundreds
+    of times longer on this file."""
+    rng = random.Random(7)
+    cfg = SlbiuConfig(lh=16, gh=64, n=U16_MAX, nnz=3, q=16)
+    hints = []
+    for pc in {rng.getrandbits(64) for _ in range(3000)}:
+        idxs = sorted(rng.sample(range(80), rng.randint(0, 3)))
+        entries = [(j, rng.choice([-1, 1]) * rng.randint(1, 1 << 15) / 4096) for j in idxs]
+        intercept = rng.randint(-(1 << 15), (1 << 15) - 1) / 4096
+        hints.append(SparsityHint(pc, intercept, entries, Q3_12))
+    hs = HintSet("full", cfg, hints)
+    path = tmp_path / "full.sbph"
+    encode_hintset(hs, path)
+    assert decode_hintset(path) == hs
+    assert path.stat().st_size == 4 + 6 + 4 + 12 + 4 + (storage_bits(cfg) + 7) // 8
+
+
+def test_decode_rejects_more_hints_than_slots(tmp_path):
+    path = tmp_path / "h.sbph"
+    cfg = SlbiuConfig(lh=4, gh=8, n=2, nnz=1, q=8)
+    encode_hintset(HintSet("", cfg, [SparsityHint(0x40, 0.5, [(3, -1.0)], Q3_4)]), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<H", data, 6, 3)  # n_hints, past N = 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(HintFormatError, match="3 hints exceed capacity N=2"):
+        decode_hintset(path)
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("lh", {"lh": U16_MAX + 1}),
+    ("gh", {"gh": U16_MAX + 1}),
+    ("nnz", {"nnz": U16_MAX + 1}),
+    ("payload", {"lh": U16_MAX, "n": U16_MAX}),  # 4.3e9 bits
+])
+def test_encode_rejects_geometry_the_header_cannot_hold(tmp_path, field, changes):
+    cfg = SlbiuConfig(**{**asdict(SlbiuConfig(lh=4, gh=8, n=1, nnz=1, q=8)), **changes})
+    path = tmp_path / "h.sbph"
+    with pytest.raises(HintFormatError, match=field):
+        encode_hintset(HintSet("", cfg, []), path)
+    assert not path.exists()
