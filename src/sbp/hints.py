@@ -314,7 +314,10 @@ def decode_hintset(path):
     version, n_hints, phase_len = struct.unpack("<HHH", take(6, "header"))
     if version != HINT_VERSION:
         raise HintFormatError(f"{path}: unsupported version {version}")
-    phase_id = take(phase_len, "phase id").decode("utf-8")
+    try:
+        phase_id = take(phase_len, "phase id").decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise HintFormatError(f"{path}: phase id is not UTF-8 ({e.reason})") from None
     cfg = SlbiuConfig(*struct.unpack("<6H", take(12, "config")))
     (payload_bits,) = struct.unpack("<I", take(4, "payload size"))
     if n_hints > cfg.n:  # the slots past N would read as zeros

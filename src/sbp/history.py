@@ -10,6 +10,7 @@ one statement of that layout; the predictors read the same window.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,12 +55,15 @@ def ints_to_pm1(values, nbits):
     return bits.astype(np.int8) * 2 - 1
 
 
-@dataclass
 class TrainingDataset:
-    target_pc: int
-    x: np.ndarray  # (m, gh+lh) int8 in {-1,+1}, GHR segment first
-    y: np.ndarray  # (m,) bool
-    config: HistoryConfig
+    """A branch's samples: the outcomes `y` ((m,) bool) and the (m, gh+lh)
+    feature rows in {-1,+1}, GHR segment first. The rows are the int8 matrix
+    `x` given, or, with x None, gathered by `gather(out)` from the trace on
+    each use, so a dataset holds no feature matrix of its own."""
+
+    def __init__(self, target_pc, x, y, config, gather=None):
+        self.target_pc, self.y, self.config = target_pc, y, config
+        self._x, self._gather = x, gather
 
     @property
     def m(self):
@@ -69,13 +73,29 @@ class TrainingDataset:
     def taken_rate(self):
         return float(self.y.mean()) if self.m else 0.0
 
+    @property
+    def x(self):
+        """The (m, l) int8 rows: the matrix given, or a fresh gathered copy."""
+        if self._x is not None:
+            return self._x
+        return self.fill(np.empty((self.m, self.config.l), dtype=np.int8))
+
+    def fill(self, out):
+        """Write the (m, l) rows into `out`, any numeric array of that shape,
+        and return it."""
+        if self._x is None:
+            self._gather(out)
+        else:
+            out[...] = self._x
+        return out
+
 
 def sample_rows(trace, config, targets=None):
     """(branches, rows): (pc, m) per target (targets=None: every PC) with m > 0
     samples after the warmup of gh+lh records, in the order of each PC's first
-    sampled record; rows(i, t, out) writes the feature rows of samples t of
-    branches i (integer arrays that broadcast together) into out and returns
-    their outcomes."""
+    sampled record; rows(i, t, out) returns the outcomes of samples t of
+    branches i (integer arrays that broadcast together) and, if `out` is
+    given, writes their feature rows into it."""
     gh, lh = config.gh, config.lh
     pcs, ids = trace.pc_ids()
     pm1 = trace.taken.view(np.int8) * 2 - 1
@@ -96,12 +116,13 @@ def sample_rows(trace, config, targets=None):
     # row p: the outcomes before record p (GHR), before order[p] of its PC (LHR)
     ghr, lhr = past(pm1, gh, -1), past(pm1[order], lh, -1)
 
-    def rows(i, t, out):
+    def rows(i, t, out=None):
         pos = order[first[i] + t]
-        out[..., :gh] = ghr[pos]
-        out[..., gh:] = lhr[first[i] + t]
-        # LHR entries older than the PC's first occurrence stand in as not taken
-        out[..., gh:][np.arange(lh) >= (k0[i] + t)[..., None]] = -1
+        if out is not None:
+            out[..., :gh] = ghr[pos]
+            out[..., gh:] = lhr[first[i] + t]
+            # LHR entries older than the PC's first occurrence stand in as not taken
+            out[..., gh:][np.arange(lh) >= (k0[i] + t)[..., None]] = -1
         return pm1[pos] > 0
 
     return [(g[1], g[4]) for g in groups], rows
@@ -110,16 +131,18 @@ def sample_rows(trace, config, targets=None):
 def collect_datasets(trace, config, targets=None):
     """{pc: TrainingDataset} of (features before update, outcome) samples for
     every target seen after warmup, in the order of each PC's first sampled
-    record; see sample_rows."""
+    record; see sample_rows. Each dataset holds its outcomes and gathers its
+    feature rows on use, GATHER_ROWS rows at a time."""
     branches, rows = sample_rows(trace, config, targets)
-    datasets = {}
-    for i, (pc, m) in enumerate(branches):
-        x, y = np.empty((m, config.l), dtype=np.int8), np.empty(m, dtype=bool)
+
+    def gather(i, m, out):
         for s in range(0, m, GATHER_ROWS):
-            t = np.arange(s, min(s + GATHER_ROWS, m))
-            y[t] = rows(i, t, x[s : s + GATHER_ROWS])
-        datasets[pc] = TrainingDataset(pc, x, y, config)
-    return datasets
+            rows(i, np.arange(s, min(s + GATHER_ROWS, m)), out[s : s + GATHER_ROWS])
+
+    return {
+        pc: TrainingDataset(pc, None, rows(i, np.arange(m)), config, partial(gather, i, m))
+        for i, (pc, m) in enumerate(branches)
+    }
 
 
 def collect_dataset(trace, config, target_pc):

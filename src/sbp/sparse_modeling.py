@@ -11,14 +11,15 @@ that check on every iteration; the tests hold `fit` to its models within
 
 `fit` reads a `Design` of a dataset, shared by every `lambda_search` probe
 and the `dedup` refit: what depends on the data alone is computed once per
-branch. The gradient and the margins use its column-major float64 copy;
+branch, from the one column-major float64 copy of its features that the
+`Design` fills from the dataset. The gradient and the margins read that copy;
 the first outer iteration starts from its gradient at the zero model. The
 coordinate steps use glmnet's covariance updates (Friedman, Hastie &
 Tibshirani, J. Stat. Softw. 33(1), 2010, section 2.2): they read `X.T @ dz`
 and `sum(dz)` off the Gram matrix `X.T @ X` and the column sums, both exact
-integer sums of +-1 products, so no step touches an m-length array. Scores
-(`b + x @ w`) come from `Design.scores`, over the row-major float64 copy,
-which gives the bits of numpy's product on the int8 matrix.
+integer sums of +-1 products, so no step touches an m-length array. The
+sign rule (`b + x @ w >= 0`) comes from `Design.signs`, which gives the
+signs of numpy's product on the int8 matrix.
 """
 
 import math
@@ -101,28 +102,39 @@ def objective(z, y, w, lam, alpha):
 
 class Design:
     """A dataset's parts that every fit of it reads, each built on first use:
-    `rows`, the row-major float64 copy of the int8 features `x` that `scores`
-    reads; `columns`, the column-major copy that the gradient and the margin
-    steps read; `gram`, its `X.T @ X`; `colsum`, its column sums; `start`, the
-    gradient and bias gradient at w = 0, b = 0; and `first[j]`, the smallest
-    index of a column identical to column j (+-1 columns are identical exactly
-    when their Gram entry is m)."""
+    `columns`, the one column-major float64 copy of the features, filled from
+    the dataset, that the gradient, the margin steps and `signs` read; `gram`,
+    its `X.T @ X`; `colsum`, its column sums; `start`, the gradient and bias
+    gradient at w = 0, b = 0; and `first[j]`, the smallest index of a column
+    identical to column j (+-1 columns are identical exactly when their Gram
+    entry is m)."""
 
     def __init__(self, dataset):
-        self.x, self.y = dataset.x, dataset.y
+        self.dataset = dataset
 
-    @cached_property
-    def rows(self):
-        return np.ascontiguousarray(self.x, dtype=np.float64)
-
-    def scores(self, bias, w):
-        """`bias + x @ w`: numpy casts the int8 `x @ w` in row-major order, so
-        these are the same bits."""
-        return bias + self.rows @ w
+    def signs(self, bias, w):
+        """`bias + x @ w >= 0` for every row, as numpy's product on the int8
+        features gives it. The sum over `columns` adds in another order, so
+        its signs are taken only where they cannot differ: (a) bias and w on
+        a 2^-30 grid with |bias| + sum|w| < 2^22 (every fixed-point model),
+        where every partial sum is exact in any order; (b) no sum within
+        4(l+2) eps (|bias| + sum|w|) of zero, which bounds the rounding error
+        of either order (gamma_n; Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., 3.1). Otherwise (c) the int8 product decides."""
+        s = self.columns @ w
+        s += bias
+        size = abs(bias) + float(np.abs(w).sum())
+        grid = np.append(w, bias) * 2.0**30
+        if size < 2.0**22 and np.array_equal(grid, np.floor(grid)):
+            return s >= 0
+        if not (np.abs(s) <= 4 * (len(w) + 2) * np.finfo(np.float64).eps * size).any():
+            return s >= 0
+        return bias + self.dataset.x @ w >= 0
 
     @cached_property
     def columns(self):
-        return np.asfortranarray(self.x, dtype=np.float64)
+        ds = self.dataset
+        return ds.fill(np.empty((ds.m, ds.config.l), order="F"))
 
     @cached_property
     def gram(self):
@@ -134,12 +146,12 @@ class Design:
 
     @cached_property
     def start(self):
-        r = 0.5 - self.y.astype(np.float64)  # p = 1/2 at zero margins
+        r = 0.5 - self.dataset.y.astype(np.float64)  # p = 1/2 at zero margins
         return (self.columns.T @ r) / len(r), float(r.mean())
 
     @cached_property
     def first(self):
-        return (self.gram == len(self.x)).argmax(axis=1).tolist()
+        return (self.gram == self.dataset.m).argmax(axis=1).tolist()
 
 
 def fit(dataset, lam, alpha, config, design=None):
@@ -218,6 +230,9 @@ def fit(dataset, lam, alpha, config, design=None):
                 break
         delta = np.array(wa) - center
         w[idx] = wa
+        converged = not grew and first_sweep_delta < tol
+        if converged or it + 1 == config.max_iterations:
+            break  # the margins z are not read after the loop
         moved = np.flatnonzero(delta)
         if len(moved) == 1:  # one product per margin: exact for +-1 entries
             np.multiply(X[:, idx[moved[0]]], delta[moved[0]], dz)
@@ -229,11 +244,8 @@ def fit(dataset, lam, alpha, config, design=None):
             np.matmul(X, dw, dz)
         dz += b - b_center
         z += dz
-        if not grew and first_sweep_delta < tol:
-            converged = True
-            break
     w[np.abs(w) < 10.0 * tol] = 0.0
-    accuracy = float(np.mean((design.scores(b, w) >= 0) == dataset.y))
+    accuracy = float(np.mean(design.signs(b, w) == dataset.y))
     weights = {int(j): float(w[j]) for j in np.flatnonzero(w)}
     return SparseModel(
         pc=dataset.target_pc,
@@ -280,7 +292,7 @@ def predictions(model, dataset, design=None):
     """Sign-rule directions (sum >= 0 -> taken) for every sample. `design`:
     the dataset's `Design`, if the caller has one."""
     design = design or Design(dataset)
-    return design.scores(model.bias, model.weight_vector(dataset.x.shape[1])) >= 0
+    return design.signs(model.bias, model.weight_vector(dataset.config.l))
 
 
 def eval_accuracy(model, dataset, design=None):
@@ -311,8 +323,9 @@ def kkt_violation(model, dataset, alpha=1.0, design=None):
     dataset's `Design`, if the caller has one.
     """
     design = design or Design(dataset)
-    w = model.weight_vector(dataset.x.shape[1])
-    r = _sigmoid(design.scores(model.bias, w)) - dataset.y.astype(np.float64)
+    x = dataset.x
+    w = model.weight_vector(x.shape[1])
+    r = _sigmoid(model.bias + x @ w) - dataset.y.astype(np.float64)
     g = (design.columns.T @ r) / dataset.m
     g += model.lam * (1.0 - alpha) * w
     l1 = model.lam * alpha

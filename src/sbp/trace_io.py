@@ -224,20 +224,27 @@ def gen_correlated(scenario):
     """Repeating block of A, M noise branches, and B = A from k blocks earlier.
 
     A and the noise branches flip fair coins. Whole blocks only: the trace holds
-    length // (M + 2) blocks.
+    length // (M + 2) blocks. The coins are `random.Random(seed).random() < 0.5`
+    in record order (B draws one only in the first k blocks), read off the
+    same Mersenne Twister words: random() is ((a >> 5) * 2^26 + (b >> 6)) / 2^53
+    of two consecutive words a, b, which is below 1/2 exactly when a < 2^31.
     """
     m = scenario.noise_branches
     k = scenario.correlation_distance
     block = m + 2
     blocks = scenario.length // block
-    rng = random.Random(scenario.seed)
+    head = min(k, blocks)  # blocks whose B draws its own coin
+    _, state, _ = random.Random(scenario.seed).getstate()
+    mt = np.random.MT19937()
+    mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(state[:-1], np.uint32),
+                                                      "pos": state[-1]}}
+    coins = mt.random_raw(2 * (blocks * (m + 1) + head))[::2] < 1 << 31
+    taken = np.empty((blocks, block), dtype=bool)
+    taken[:head] = coins[: head * block].reshape(head, block)
+    taken[head:, :-1] = coins[head * block :].reshape(blocks - head, m + 1)
+    taken[head:, -1] = taken[: blocks - head, 0]  # B
     block_pcs = [PC_A] + [PC_NOISE_BASE + 8 * i for i in range(m)] + [PC_B]
-    taken = []
-    for t in range(blocks):
-        taken.append(rng.random() < 0.5)
-        taken.extend(rng.random() < 0.5 for _ in range(m))
-        taken.append(taken[(t - k) * block] if t >= k else rng.random() < 0.5)  # B
-    return Trace(np.tile(np.array(block_pcs, dtype=np.uint64), blocks), taken,
+    return Trace(np.tile(np.array(block_pcs, dtype=np.uint64), blocks), taken.ravel(),
                  phase_id=f"correlated_m{m}_k{k}_s{scenario.seed}")
 
 

@@ -1,14 +1,18 @@
 """Per-record reference reader and writer of the `.sbpt` trace format.
 
 One `struct` unpack or pack per record, the gap escape handled record by
-record. `sbp.trace_io` reads and writes whole columns; these loops are the
+record, and the correlated generator with one `random()` call per coin.
+`sbp.trace_io` reads, writes and draws whole columns; these loops are the
 oracle the tests compare it with.
 """
 
+import random
 import struct
 
+import numpy as np
+
 from sbp.errors import TraceFormatError, TraceTruncatedError
-from sbp.trace_io import GAP_ESCAPE, MAGIC, VERSION
+from sbp.trace_io import GAP_ESCAPE, MAGIC, PC_A, PC_B, PC_NOISE_BASE, VERSION, Trace
 
 _HEADER = struct.Struct("<4sHHQ")
 _RECORD = struct.Struct("<QBB")
@@ -61,3 +65,25 @@ def reference_read(data):
 def records_of(trace):
     """(pc, taken, gap) tuples of a columnar trace, as Python values."""
     return list(zip(trace.pc.tolist(), trace.taken.tolist(), trace.gap.tolist()))
+
+
+# The generator as it drew one `random()` per coin, verbatim but for its name.
+def reference_gen_correlated(scenario):
+    """Repeating block of A, M noise branches, and B = A from k blocks earlier.
+
+    A and the noise branches flip fair coins. Whole blocks only: the trace holds
+    length // (M + 2) blocks.
+    """
+    m = scenario.noise_branches
+    k = scenario.correlation_distance
+    block = m + 2
+    blocks = scenario.length // block
+    rng = random.Random(scenario.seed)
+    block_pcs = [PC_A] + [PC_NOISE_BASE + 8 * i for i in range(m)] + [PC_B]
+    taken = []
+    for t in range(blocks):
+        taken.append(rng.random() < 0.5)
+        taken.extend(rng.random() < 0.5 for _ in range(m))
+        taken.append(taken[(t - k) * block] if t >= k else rng.random() < 0.5)  # B
+    return Trace(np.tile(np.array(block_pcs, dtype=np.uint64), blocks), taken,
+                 phase_id=f"correlated_m{m}_k{k}_s{scenario.seed}")

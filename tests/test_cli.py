@@ -149,6 +149,21 @@ def test_hint_index_outside_the_history_is_a_runtime_error(tmp_path, capsys):
     assert err.startswith(f"sbp: {hints}: ") and "entry index outside [0, 6)" in err
 
 
+def test_hint_file_phase_id_not_utf8_is_a_runtime_error(tmp_path, capsys):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--s", 3, "--len", 300, "-o", trace) == 0
+    hints = tmp_path / "h.sbph"
+    encode_hintset(empty_hintset(4, 16, 8, phase_id="loop"), hints)
+    data = hints.read_bytes()
+    at = data.index(b"loop")
+    hints.write_bytes(data[:at] + b"lo\xefp" + data[at + 4 :])  # a cut 3-byte sequence
+    capsys.readouterr()
+    assert run_cli("simulate", "--trace", trace, "--gh", 16, "--lh", 4,
+                   "--hints", hints) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sbp: {hints}: ") and "phase id is not UTF-8" in err
+
+
 @pytest.fixture(scope="module")
 def pipeline_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("pipeline") / "corr.sbpt"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -13,7 +14,7 @@ from sbp.history import (
     ints_to_pm1,
     past,
 )
-from sbp.trace_io import PC_LOOP, SyntheticScenario, Trace, gen_loop
+from sbp.trace_io import PC_B, PC_LOOP, SyntheticScenario, Trace, gen_correlated, gen_loop
 from tests.conftest import random_trace
 from tests.reference_history import reference_collect_datasets
 
@@ -153,6 +154,27 @@ def test_collect_datasets_equals_per_record_replay(case):
         assert ds.x.shape == ref.x.shape == (ds.m, config.l)
         assert ds.x.tobytes() == ref.x.tobytes()
         assert ds.y.tobytes() == ref.y.tobytes()
+        columns = ds.fill(np.empty((ds.m, config.l), order="F"))
+        assert np.array_equal(columns, ref.x)
+
+
+def test_collect_datasets_holds_no_feature_matrix():
+    """The datasets keep their outcomes; their rows are gathered on use, so
+    collecting every branch of a trace costs a fraction of its int8 rows."""
+    trace = gen_correlated(SyntheticScenario("correlated", length=40_000, seed=3,
+                                             noise_branches=4))
+    config = HistoryConfig(gh=64, lh=16)
+    tracemalloc.start()
+    try:
+        datasets = collect_datasets(trace, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(ds.m for ds in datasets.values()) * config.l
+    assert rows > 3_000_000
+    assert peak < rows / 3
+    ds = datasets[PC_B]
+    assert np.array_equal(ds.x[:, 10] == 1, ds.y)  # B is A of the block before: 11 records back
 
 
 @settings(max_examples=200, deadline=None)

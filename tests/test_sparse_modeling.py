@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,11 +236,11 @@ def test_twin_columns_give_identical_dot_products(m):
 def test_design_is_built_on_first_use():
     ds = make_dataset(np.ones((4, 3), dtype=np.int8), [True, False, True, True])
     design = Design(ds)
-    assert vars(design) == {"x": ds.x, "y": ds.y}  # nothing computed yet
+    assert vars(design) == {"dataset": ds}  # nothing computed yet
     assert design.first == [0, 0, 0]
-    assert set(vars(design)) == {"x", "y", "columns", "gram", "first"}
-    design.scores(0.0, np.zeros(3))
-    assert set(vars(design)) == {"x", "y", "columns", "gram", "first", "rows"}
+    assert set(vars(design)) == {"dataset", "columns", "gram", "first"}
+    design.signs(0.0, np.zeros(3))
+    assert set(vars(design)) == {"dataset", "columns", "gram", "first"}  # no second copy
 
 
 def _scores(model, ds):
@@ -316,12 +317,32 @@ def test_search_and_dedup_equal_reference(request, which, alpha):
         assert dedup(ds, lambda_search(ds, cfg), cfg) == model
 
 
-@pytest.mark.parametrize("m, l", [(1, 1), (2, 100), (7, 3), (64, 16), (1001, 80),
-                                  (1920, 80), (4096, 33), (6987, 80), (7000, 100)])
+class CountingDataset(TrainingDataset):
+    """Counts the reads of `x`: `Design` fills its columns without one, so
+    each read is a `signs` call that fell back to the int8 product."""
+
+    reads = 0
+
+    @property
+    def x(self):
+        self.reads += 1
+        return super().x
+
+
+def counting_dataset(x, y):
+    x = np.asarray(x, dtype=np.int8)
+    return CountingDataset(1, x, np.asarray(y, dtype=bool), HistoryConfig(gh=x.shape[1], lh=0))
+
+
+GRID = [(1, 1), (2, 100), (7, 3), (64, 16), (1001, 80), (1920, 80), (4096, 33), (6987, 80),
+        (7000, 100)]
+
+
+@pytest.mark.parametrize("m, l", GRID)
 def test_design_scores_are_the_bits_of_int8_products(m, l):
-    # every score in the package comes from Design.scores, over a row-major
-    # float64 copy; numpy's int8 `x @ w` casts in row-major order, so the two
-    # must agree bit for bit, whatever the BLAS does with either
+    # every sign rule in the package comes from Design.signs, which sums over
+    # the column-major copy in another order than numpy's int8 `x @ w`; the
+    # booleans `bias + x @ w >= 0` must agree exactly, whatever the BLAS does
     rng = np.random.default_rng(m * 101 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
     design = Design(make_dataset(x, rng.random(m) < 0.5))
@@ -329,10 +350,77 @@ def test_design_scores_are_the_bits_of_int8_products(m, l):
         w = np.zeros(l)
         w[rng.choice(l, size=min(nnz, l), replace=False)] = rng.normal(0.0, 1.0, min(nnz, l))
         bias = float(rng.normal())
-        assert design.scores(bias, w).tobytes() == (bias + x @ w).tobytes(), nnz
+        assert np.array_equal(design.signs(bias, w), bias + x @ w >= 0), nnz
     r = rng.normal(0.0, 1.0, m)  # `x.T @ r` casts x.T in its row-major order
     assert (design.columns.T @ r).tobytes() == (x.T @ r).tobytes()
-    assert design.rows.flags.c_contiguous
+    assert design.columns.flags.f_contiguous
+
+
+@pytest.mark.parametrize("m, l", GRID)
+@pytest.mark.parametrize("fraction_bits", [4, 12])
+def test_fixed_point_signs_with_exact_zero_sums(m, l, fraction_bits):
+    # Q3.4 and Q3.12 models sum to exactly zero on many rows; on the 2^-30
+    # grid every order gives the exact sum, so no row needs the int8 product
+    rng = np.random.default_rng(m * 7 + l)
+    x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
+    ds = counting_dataset(x, rng.random(m) < 0.5)
+    design = Design(ds)
+    steps = np.array([1, 3, 5, 127]) / 2.0**fraction_bits
+    mixed = rng.choice(steps, l) * rng.choice([-1, 1], l)
+    for bias, w in [(0.0, np.full(l, steps[0])), (steps[1], mixed),
+                    (-8.0, np.where(np.arange(l) % 2 == 0, 7.9375, -7.9375))]:
+        expect = bias + x @ w >= 0
+        assert np.array_equal(design.signs(bias, w), expect)
+    assert ds.reads == 0
+
+
+@pytest.mark.parametrize("m, l", [(m, l) for m, l in GRID if l >= 2])
+def test_ties_off_the_grid_fall_back_to_the_int8_product(m, l):
+    # opposite weights on twin columns cancel on every row: the sums sit at
+    # the rounding error of either order, so the int8 product must decide
+    rng = np.random.default_rng(m + 13 * l)
+    x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
+    x[:, 1] = x[:, 0]
+    ds = counting_dataset(x, rng.random(m) < 0.5)
+    design = Design(ds)
+    w = np.zeros(l)
+    w[0], w[1] = 0.1, -0.1
+    w[2:] = rng.normal(0.0, 1e-17, l - 2)
+    assert np.array_equal(design.signs(0.0, w), x @ w >= 0)
+    assert ds.reads == 1
+
+
+@pytest.mark.parametrize("m, l", GRID)
+def test_large_weights_off_the_grid(m, l):
+    rng = np.random.default_rng(m * 3 + l)
+    x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
+    design = Design(counting_dataset(x, rng.random(m) < 0.5))
+    for scale in (1e6, 1e12, 2.0**40):
+        w = rng.normal(0.0, scale, l)
+        bias = float(rng.normal(0.0, scale))
+        assert np.array_equal(design.signs(bias, w), bias + x @ w >= 0), scale
+    w = np.round(rng.normal(0.0, 2.0**23, l))  # on the grid, too large to be exact
+    assert np.array_equal(design.signs(0.5, w), 0.5 + x @ w >= 0)
+
+
+def test_search_and_dedup_hold_one_float64_copy():
+    # a fair-coin branch, as most screened branches are: the fits read one
+    # float64 copy of the features, and the margin steps' temporaries take
+    # less than 1 MB more
+    m, l = 6000, 80
+    rng = np.random.default_rng(6)
+    ds = make_dataset(rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l)),
+                      rng.random(m) < 0.5)
+    cfg = SolverConfig()
+    tracemalloc.start()
+    try:
+        design = Design(ds)
+        model = dedup(ds, lambda_search(ds, cfg, design), cfg, design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.nnz > 0
+    assert peak <= 8 * m * l + 2**20
 
 
 def test_one_design_serves_fits_in_any_order():

@@ -22,7 +22,12 @@ from sbp.trace_io import (
     read_trace,
     write_trace,
 )
-from tests.reference_trace import records_of, reference_read, reference_write
+from tests.reference_trace import (
+    records_of,
+    reference_gen_correlated,
+    reference_read,
+    reference_write,
+)
 
 
 def same_columns(a, b):
@@ -134,6 +139,19 @@ def test_correlated_structure():
     # B(t) replays A(t - k) once k blocks have passed.
     for t in range(2, len(b_outcomes)):
         assert b_outcomes[t] == a_outcomes[t - 2]
+
+
+@pytest.mark.parametrize("m", [0, 1, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_correlated_equals_one_draw_per_coin(m, k):
+    # the same Mersenne Twister words, read as columns: whole traces equal the
+    # one-random()-per-coin generator, including cut blocks and k >= blocks
+    for length in (m + 2, 11, 97, 1000, 42_001):
+        for seed in (0, 11, 2**40 + 3):
+            scenario = SyntheticScenario(kind="correlated", length=max(length, m + 2),
+                                         seed=seed, noise_branches=m, correlation_distance=k)
+            got, want = gen_correlated(scenario), reference_gen_correlated(scenario)
+            assert same_columns(got, want) and got.phase_id == want.phase_id
 
 
 def test_loop_pattern():
