@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, SbpError
-from .history import HistoryConfig, collect_datasets
+from .history import HistoryConfig
 from .hints import U16_MAX, QuantSpec, decode_hintset, encode_hintset
 from .predictors import TageLiteConfig
 from .simulator import (
@@ -198,14 +198,14 @@ def _cmd_train(args):
             "sufficient": model.sufficient,
             "converged": model.converged,
         }
-        for pc, (model, _ds) in models.items()
+        for pc, model in models.items()
     }
     text = json.dumps({"gh": args.gh, "lh": args.lh, "models": payload}, sort_keys=True, indent=2)
     Path(args.output).write_text(text + "\n")
     if args.dump_text:
         dump_dir = Path(args.dump_text)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for pc, (model, _ds) in models.items():
+        for pc, model in models.items():
             (dump_dir / f"{pc:#x}.model").write_text(dump_model(model))
     return 0
 
@@ -244,8 +244,16 @@ def _model_from_json(pc, m, width):
     )
 
 
+def _read_json(path):
+    """The JSON value in a file; a file that is not UTF-8 JSON is an error naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # json.JSONDecodeError and UnicodeDecodeError
+        raise SbpError(f"{path}: not a JSON file ({e})") from None
+
+
 def _load_models_json(path):
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     try:
         gh, lh = data["gh"], data["lh"]
         models = {
@@ -265,11 +273,8 @@ def _cmd_select(args):
     if (gh, lh) != (args.gh, args.lh):
         raise ConfigError("models file history lengths disagree with --gh/--lh")
     trace = read_trace(args.trace)
-    history = HistoryConfig(gh, lh)
-    datasets = collect_datasets(trace, history, targets=set(models))
-    trained = {pc: (models[pc], datasets[pc]) for pc in sorted(models) if pc in datasets}
     hs, chosen, _base = select_hints(
-        trace, trained, history, sim_config, args.q, args.policy,
+        trace, models, HistoryConfig(gh, lh), sim_config, args.q, args.policy,
         int(args.budget_kb * 8192),
     )
     encode_hintset(hs, args.output)
@@ -374,7 +379,7 @@ def _cmd_online(args):
 
 def _read_report(path):
     """(phase_id or None, mpki) of a report JSON file."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     if isinstance(data, dict) and isinstance(data.get("mpki"), (int, float)):
         phase = data.get("phase_id")
         if phase is None or isinstance(phase, str):

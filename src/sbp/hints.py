@@ -11,7 +11,7 @@ import struct
 from dataclasses import asdict, astuple, dataclass, replace
 
 from .errors import ConfigError, HintFormatError
-from .sparse_modeling import Design, eval_accuracy, fit
+from .sparse_modeling import eval_accuracy, fit
 
 HINT_MAGIC = b"SBPH"
 HINT_VERSION = 1
@@ -82,7 +82,7 @@ def quantize(model, spec):
     return replace(model, bias=quantize_value(model.bias, spec), weights=weights)
 
 
-def dedup(dataset, lasso_model, config, design=None):
+def dedup(dataset, lasso_model, config):
     """Collapse duplicated history columns via an ElasticNet refit.
 
     Refits at the input model's lambda with alpha < 1 (0.5 unless the config
@@ -90,22 +90,20 @@ def dedup(dataset, lasso_model, config, design=None):
     columns, and moves each group's summed weight onto its smallest index.
     Rejected (input returned unchanged) if accuracy drops more than 0.001
     below the input model's. The result keeps the input's `sufficient` flag:
-    the refit is not searched, so it cannot tell. `design`: the dataset's
-    `Design` that the search used, if the caller kept it.
+    the refit is not searched, so it cannot tell.
     """
-    design = design or Design(dataset)
     alpha = config.elasticnet_alpha if config.elasticnet_alpha < 1.0 else 0.5
-    en = fit(dataset, lasso_model.lam, alpha, config, design)
+    en = fit(dataset, lasso_model.lam, alpha, config)
     groups = {}
     for j in sorted(en.weights):
-        groups.setdefault(design.first[j], []).append(j)
+        groups.setdefault(dataset.first[j], []).append(j)
     weights = {}
     for members in groups.values():
         total = sum(en.weights[j] for j in members)
         if total != 0.0:
             weights[members[0]] = total
     collapsed = replace(en, weights=weights, sufficient=lasso_model.sufficient)
-    collapsed.accuracy = eval_accuracy(collapsed, dataset, design)
+    collapsed.accuracy = eval_accuracy(collapsed, dataset)
     if collapsed.accuracy < lasso_model.accuracy - 0.001:
         return lasso_model
     return collapsed

@@ -7,6 +7,8 @@ places back), then the LHR segment (column j is the outcome of the same PC's
 with outcomes mapped to {-1, +1} (taken = +1). Each PC's rows are gathered
 from the trace's outcome column, not replayed record by record. `past` is the
 one statement of that layout; the predictors read the same window.
+`collect_datasets` gives each branch's samples as a `TrainingDataset` (see
+`sparse_modeling`) that keeps the outcomes and gathers the rows on use.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
+from .sparse_modeling import TrainingDataset
 
 GATHER_ROWS = 128  # sample rows gathered at a time, bounding the temporaries
 
@@ -53,41 +56,6 @@ def ints_to_pm1(values, nbits):
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, nbytes)
     bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :nbits]
     return bits.astype(np.int8) * 2 - 1
-
-
-class TrainingDataset:
-    """A branch's samples: the outcomes `y` ((m,) bool) and the (m, gh+lh)
-    feature rows in {-1,+1}, GHR segment first. The rows are the int8 matrix
-    `x` given, or, with x None, gathered by `gather(out)` from the trace on
-    each use, so a dataset holds no feature matrix of its own."""
-
-    def __init__(self, target_pc, x, y, config, gather=None):
-        self.target_pc, self.y, self.config = target_pc, y, config
-        self._x, self._gather = x, gather
-
-    @property
-    def m(self):
-        return len(self.y)
-
-    @property
-    def taken_rate(self):
-        return float(self.y.mean()) if self.m else 0.0
-
-    @property
-    def x(self):
-        """The (m, l) int8 rows: the matrix given, or a fresh gathered copy."""
-        if self._x is not None:
-            return self._x
-        return self.fill(np.empty((self.m, self.config.l), dtype=np.int8))
-
-    def fill(self, out):
-        """Write the (m, l) rows into `out`, any numeric array of that shape,
-        and return it."""
-        if self._x is None:
-            self._gather(out)
-        else:
-            out[...] = self._x
-        return out
 
 
 def sample_rows(trace, config, targets=None):
@@ -128,12 +96,12 @@ def sample_rows(trace, config, targets=None):
     return [(g[1], g[4]) for g in groups], rows
 
 
-def collect_datasets(trace, config, targets=None):
+def collect_datasets(trace, config):
     """{pc: TrainingDataset} of (features before update, outcome) samples for
-    every target seen after warmup, in the order of each PC's first sampled
+    every PC seen after warmup, in the order of each PC's first sampled
     record; see sample_rows. Each dataset holds its outcomes and gathers its
     feature rows on use, GATHER_ROWS rows at a time."""
-    branches, rows = sample_rows(trace, config, targets)
+    branches, rows = sample_rows(trace, config)
 
     def gather(i, m, out):
         for s in range(0, m, GATHER_ROWS):
@@ -147,7 +115,7 @@ def collect_datasets(trace, config, targets=None):
 
 def collect_dataset(trace, config, target_pc):
     """Single-target variant; absent/never-post-warmup targets give m = 0."""
-    ds = collect_datasets(trace, config, targets={target_pc})
+    ds = collect_datasets(trace, config)
     if target_pc in ds:
         return ds[target_pc]
     empty = np.zeros((0, config.l), dtype=np.int8)

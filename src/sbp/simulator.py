@@ -13,7 +13,6 @@ from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, quantize, select
 from .predictors import Gshare, Slbiu, TageLite, TageLiteConfig
 from .sparse_modeling import (
     BranchScreen,
-    Design,
     SolverConfig,
     correct_count,
     lambda_search,
@@ -156,33 +155,32 @@ class PipelineResult:
 
 def train_models(trace, history, screen_cfg, solver):
     """Collect every branch's dataset, keep the screened ones, and train each
-    with lambda_search followed by dedup, both on one `Design` of its features.
-    Returns {pc: (model, dataset)} in pc order."""
+    with lambda_search followed by dedup, dropping each dataset (and its float64
+    copy of the features) once its branch is done. Returns {pc: model} in pc order."""
     datasets = collect_datasets(trace, history)
-    trained = {}
+    models = {}
     for pc in sorted(datasets):
-        ds = datasets[pc]
+        ds = datasets.pop(pc)
         if screen(ds, screen_cfg):
-            design = Design(ds)  # built lazily: the last branch's is freed first
-            model = dedup(ds, lambda_search(ds, solver, design), solver, design)
-            trained[pc] = (model, ds)
-    return trained
+            models[pc] = dedup(ds, lambda_search(ds, solver), solver)
+    return models
 
 
-def select_hints(trace, trained, history, sim_config, qspec, policy, budget_bits):
+def select_hints(trace, models, history, sim_config, qspec, policy, budget_bits):
     """Score trained models against the primary predictor and select hints.
 
-    trained: {pc: (model, dataset)} for branches of `trace`, in pc order.
+    models: {pc: model}; models of PCs without samples in `trace` are skipped.
     Runs the baseline alone, counting its correct predictions from the end of
     warmup, quantizes each model (qspec None keeps fp32 weights), scores it
-    against the baseline on its dataset, and selects under the budget.
-    Returns (hintset, (N, nnz), baseline report).
+    against the baseline on its dataset, dropped once scored, and selects
+    under the budget. Returns (hintset, (N, nnz), baseline report).
     """
     base_report = run(trace, sim_config, correct_from=history.gh + history.lh)
+    datasets = collect_datasets(trace, history)
     candidates = []
-    for pc, (model, ds) in trained.items():
-        if qspec is not None:
-            model = quantize(model, qspec)
+    for pc in sorted(models.keys() & datasets.keys()):
+        ds = datasets.pop(pc)
+        model = models[pc] if qspec is None else quantize(models[pc], qspec)
         candidates.append(
             ScoredCandidate(
                 model=model,
@@ -223,9 +221,9 @@ def run_pipeline(
     sim_config = sim_config or SimConfig(history=history)
     results = []
     for trace in traces:
-        trained = train_models(trace, history, screen_cfg, solver)
+        models = train_models(trace, history, screen_cfg, solver)
         hintset, chosen, base_report = select_hints(
-            trace, trained, history, sim_config, qspec, policy, budget_bits
+            trace, models, history, sim_config, qspec, policy, budget_bits
         )
         coupled = run(trace, sim_config, hintset=hintset)
         results.append(PipelineResult(trace, hintset, chosen, base_report, coupled))

@@ -9,17 +9,16 @@ iterations. `tests/reference_cd.py` keeps the plain form of the solver with
 that check on every iteration; the tests hold `fit` to its models within
 1e-12, with the same support, flags and predictions.
 
-`fit` reads a `Design` of a dataset, shared by every `lambda_search` probe
-and the `dedup` refit: what depends on the data alone is computed once per
-branch, from the one column-major float64 copy of its features that the
-`Design` fills from the dataset. The gradient and the margins read that copy;
-the first outer iteration starts from its gradient at the zero model. The
-coordinate steps use glmnet's covariance updates (Friedman, Hastie &
-Tibshirani, J. Stat. Softw. 33(1), 2010, section 2.2): they read `X.T @ dz`
-and `sum(dz)` off the Gram matrix `X.T @ X` and the column sums, both exact
-integer sums of +-1 products, so no step touches an m-length array. The
-sign rule (`b + x @ w >= 0`) comes from `Design.signs`, which gives the
-signs of numpy's product on the int8 matrix.
+A branch is one `TrainingDataset` from collection to scoring. What depends
+on its data alone is computed once, from the one column-major float64 copy
+of its features, and kept while the dataset lives, so every `lambda_search`
+probe and the `dedup` refit read the same parts; the first outer iteration
+starts from its gradient at the zero model. The coordinate steps use glmnet's
+covariance updates (Friedman, Hastie & Tibshirani, J. Stat. Softw. 33(1),
+2010, section 2.2): they read `X.T @ dz` and `sum(dz)` off the Gram matrix
+`X.T @ X` and the column sums, both exact integer sums of +-1 products, so no
+step touches an m-length array. The sign rule (`b + x @ w >= 0`) comes from
+`TrainingDataset.signs`, the signs of numpy's product on the int8 matrix.
 """
 
 import math
@@ -100,17 +99,43 @@ def objective(z, y, w, lam, alpha):
     return loss + pen
 
 
-class Design:
-    """A dataset's parts that every fit of it reads, each built on first use:
-    `columns`, the one column-major float64 copy of the features, filled from
-    the dataset, that the gradient, the margin steps and `signs` read; `gram`,
-    its `X.T @ X`; `colsum`, its column sums; `start`, the gradient and bias
-    gradient at w = 0, b = 0; and `first[j]`, the smallest index of a column
-    identical to column j (+-1 columns are identical exactly when their Gram
-    entry is m)."""
+class TrainingDataset:
+    """A branch's samples: the outcomes `y` ((m,) bool) and the (m, gh+lh)
+    feature rows in {-1,+1}, GHR segment first, the int8 matrix `x` given or,
+    with x None, gathered by `gather(out)` on each use. What its fits and
+    scores read is built on first use and kept while it lives: `columns`, the
+    one column-major float64 copy of the rows; `gram`, its `X.T @ X`;
+    `colsum`, its column sums; `start`, the gradient and bias gradient at
+    w = 0, b = 0; and `first[j]`, the smallest index of a column identical to
+    column j (+-1 columns are identical exactly when their Gram entry is m)."""
 
-    def __init__(self, dataset):
-        self.dataset = dataset
+    def __init__(self, target_pc, x, y, config, gather=None):
+        self.target_pc, self.y, self.config = target_pc, y, config
+        self._x, self._gather = x, gather
+
+    @property
+    def m(self):
+        return len(self.y)
+
+    @property
+    def taken_rate(self):
+        return float(self.y.mean()) if self.m else 0.0
+
+    @property
+    def x(self):
+        """The (m, l) int8 rows: the matrix given, or a fresh gathered copy."""
+        if self._x is not None:
+            return self._x
+        return self.fill(np.empty((self.m, self.config.l), dtype=np.int8))
+
+    def fill(self, out):
+        """Write the (m, l) rows into `out`, any numeric array of that shape,
+        and return it."""
+        if self._x is None:
+            self._gather(out)
+        else:
+            out[...] = self._x
+        return out
 
     def signs(self, bias, w):
         """`bias + x @ w >= 0` for every row, as numpy's product on the int8
@@ -129,12 +154,11 @@ class Design:
             return s >= 0
         if not (np.abs(s) <= 4 * (len(w) + 2) * np.finfo(np.float64).eps * size).any():
             return s >= 0
-        return bias + self.dataset.x @ w >= 0
+        return bias + self.x @ w >= 0
 
     @cached_property
     def columns(self):
-        ds = self.dataset
-        return ds.fill(np.empty((ds.m, ds.config.l), order="F"))
+        return self.fill(np.empty((self.m, self.config.l), order="F"))
 
     @cached_property
     def gram(self):
@@ -146,25 +170,24 @@ class Design:
 
     @cached_property
     def start(self):
-        r = 0.5 - self.dataset.y.astype(np.float64)  # p = 1/2 at zero margins
+        r = 0.5 - self.y.astype(np.float64)  # p = 1/2 at zero margins
         return (self.columns.T @ r) / len(r), float(r.mean())
 
     @cached_property
     def first(self):
-        return (self.gram == self.dataset.m).argmax(axis=1).tolist()
+        return (self.gram == self.m).argmax(axis=1).tolist()
 
 
-def fit(dataset, lam, alpha, config, design=None):
+def fit(dataset, lam, alpha, config):
     """Minimize (1/m) sum logistic(y_i, f(x_i)) + lam*(alpha*|w|_1 + (1-alpha)/2*|w|_2^2).
 
     Bias is unpenalized. Weights with |w| < 10*tolerance are truncated to exact
-    zero on return. `design`: the dataset's `Design`, if the caller has one.
+    zero on return.
     """
     m = dataset.m
     if m < 1:
         raise ValueError("fit requires at least one sample")
-    design = design or Design(dataset)
-    X, gram, colsum = design.columns, design.gram, design.colsum
+    X, gram, colsum = dataset.columns, dataset.gram, dataset.colsum
     y = dataset.y.astype(np.float64)
     l = X.shape[1]
     h = CURVATURE
@@ -174,7 +197,7 @@ def fit(dataset, lam, alpha, config, design=None):
     w = np.zeros(l)
     b = 0.0
     z, r, dz = np.zeros(m), np.empty(m), np.empty(m)
-    g0, gb0 = design.start  # the gradient at w = 0, b = 0
+    g0, gb0 = dataset.start  # the gradient at w = 0, b = 0
     active = np.zeros(l, dtype=bool)
     idx = None
     converged = False
@@ -245,7 +268,7 @@ def fit(dataset, lam, alpha, config, design=None):
         dz += b - b_center
         z += dz
     w[np.abs(w) < 10.0 * tol] = 0.0
-    accuracy = float(np.mean(design.signs(b, w) == dataset.y))
+    accuracy = float(np.mean(dataset.signs(b, w) == dataset.y))
     weights = {int(j): float(w[j]) for j in np.flatnonzero(w)}
     return SparseModel(
         pc=dataset.target_pc,
@@ -258,21 +281,19 @@ def fit(dataset, lam, alpha, config, design=None):
     )
 
 
-def lambda_search(dataset, config, design=None):
+def lambda_search(dataset, config):
     """Binary search on log-lambda for the sparsest model meeting accuracy_stop.
 
     Accurate probes push lambda up (sparser), inaccurate ones push it down.
     Falls back to the most accurate probe, flagged insufficient, when no probe
-    reaches the stopping accuracy. Every probe reads one `Design` of the
-    features (`design`, or one built here).
+    reaches the stopping accuracy.
     """
     lo = math.log(config.lambda_min)
     hi = math.log(config.lambda_max)
     probes = []
-    design = design or Design(dataset)
     for _ in range(LAMBDA_PROBES):
         mid = (lo + hi) / 2.0
-        model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config, design)
+        model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config)
         probes.append(model)
         if model.accuracy >= config.accuracy_stop:
             lo = mid
@@ -288,23 +309,21 @@ def lambda_search(dataset, config, design=None):
     return best
 
 
-def predictions(model, dataset, design=None):
-    """Sign-rule directions (sum >= 0 -> taken) for every sample. `design`:
-    the dataset's `Design`, if the caller has one."""
-    design = design or Design(dataset)
-    return design.signs(model.bias, model.weight_vector(dataset.config.l))
+def predictions(model, dataset):
+    """Sign-rule directions (sum >= 0 -> taken) for every sample."""
+    return dataset.signs(model.bias, model.weight_vector(dataset.config.l))
 
 
-def eval_accuracy(model, dataset, design=None):
+def eval_accuracy(model, dataset):
     if dataset.m == 0:
         return 0.0
-    return float(np.mean(predictions(model, dataset, design) == dataset.y))
+    return float(np.mean(predictions(model, dataset) == dataset.y))
 
 
-def correct_count(model, dataset, design=None):
+def correct_count(model, dataset):
     if dataset.m == 0:
         return 0
-    return int(np.sum(predictions(model, dataset, design) == dataset.y))
+    return int(np.sum(predictions(model, dataset) == dataset.y))
 
 
 def screen(dataset, screen_cfg):
@@ -315,18 +334,16 @@ def screen(dataset, screen_cfg):
     )
 
 
-def kkt_violation(model, dataset, alpha=1.0, design=None):
+def kkt_violation(model, dataset, alpha=1.0):
     """Max subgradient-condition violation of the elastic-net optimum at model.
 
     Zero coordinates must satisfy |g_j| <= lam*alpha; non-zero ones must have
-    g_j + lam*alpha*sign(w_j) = 0 (L2 part folded into g). `design`: the
-    dataset's `Design`, if the caller has one.
+    g_j + lam*alpha*sign(w_j) = 0 (L2 part folded into g).
     """
-    design = design or Design(dataset)
     x = dataset.x
     w = model.weight_vector(x.shape[1])
     r = _sigmoid(model.bias + x @ w) - dataset.y.astype(np.float64)
-    g = (design.columns.T @ r) / dataset.m
+    g = (dataset.columns.T @ r) / dataset.m
     g += model.lam * (1.0 - alpha) * w
     l1 = model.lam * alpha
     zero = w == 0

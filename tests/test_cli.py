@@ -83,6 +83,25 @@ def test_train_select_simulate_flow(tmp_path, corr_trace):
     assert csv.read_text().startswith("name,")
 
 
+@pytest.mark.parametrize("q, policy, baseline", [("3.4", "relative", "gshare"),
+                                                 ("fp32", "independent", "tage-lite")])
+def test_train_then_select_writes_the_pipeline_hint_file(tmp_path, q, policy, baseline):
+    # the CLI's two steps and `pipeline` score and select through one path
+    trace = tmp_path / "corr.sbpt"
+    assert run_cli("gen", "--kind", "correlated", "--m", 2, "--len", 12_000,
+                   "--seed", 3, "-o", trace) == 0
+    flags = ["--gh", 32, "--lh", 4, "--baseline", baseline, "--policy", policy,
+             "--budget-kb", 1, "--q", q]
+    models, hints, out = tmp_path / "models.json", tmp_path / "h.sbph", tmp_path / "out"
+    assert run_cli("train", "--trace", trace, "--gh", 32, "--lh", 4,
+                   "--min-occurrences", 1500, "-o", models) == 0
+    assert run_cli("select", "--models", models, "--trace", trace, *flags, "-o", hints) == 0
+    assert run_cli("pipeline", "--traces", trace, *flags, "--min-occurrences", 1500,
+                   "--out-dir", out) == 0
+    assert any(h.pc == PC_B for h in decode_hintset(hints).hints)
+    assert (out / "corr.sbph").read_bytes() == hints.read_bytes()
+
+
 def test_pipeline_directory_input(tmp_path):
     traces = tmp_path / "traces"
     traces.mkdir()
@@ -292,6 +311,30 @@ def test_report_duplicate_phase_id_is_an_error(tmp_path, capsys):
     assert run_cli("report", "--scurve", *coupled,
                    "--baseline-reports", base[0], copy) == 1
     assert "repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"gh": 4, "lh"', "Expecting ':' delimiter"),
+    (b'\xff{"mpki": 1.0}', "'utf-8' codec can't decode byte 0xff"),
+])
+@pytest.mark.parametrize("flag", ["--models", "--scurve", "--baseline-reports"])
+def test_input_that_is_not_json_names_its_path(tmp_path, capsys, flag, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    coupled = _write_reports(tmp_path, "coupled", {"a": 2.0})
+    argv = {
+        "--models": ["select", "--models", bad, "--trace", trace, "--gh", 4, "--lh", 0,
+                     "--budget-kb", 1, "-o", tmp_path / "h.sbph"],
+        "--scurve": ["report", "--scurve", bad],
+        "--baseline-reports": ["report", "--scurve", *coupled, "--baseline-reports", bad],
+    }[flag]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sbp: {bad}: not a JSON file ({reason}") and err.endswith(")\n")
 
 
 def test_jobs_flag_is_gone():

@@ -13,6 +13,7 @@ from sbp.history import (
     collect_datasets,
     ints_to_pm1,
     past,
+    sample_rows,
 )
 from sbp.trace_io import PC_B, PC_LOOP, SyntheticScenario, Trace, gen_correlated, gen_loop
 from tests.conftest import random_trace
@@ -115,11 +116,13 @@ def test_missing_target_gives_empty_dataset():
 def test_targets_filter():
     trace = random_trace(300, n_pcs=3, seed=6)
     pc = int(trace.pc[250])
-    only = collect_datasets(trace, HistoryConfig(gh=4, lh=2), targets={pc})
-    assert set(only) == {pc}
-    full = collect_datasets(trace, HistoryConfig(gh=4, lh=2))
-    assert only[pc].m == full[pc].m
-    assert np.array_equal(only[pc].x, full[pc].x)
+    config = HistoryConfig(gh=4, lh=2)
+    branches, rows = sample_rows(trace, config, targets={pc})
+    full = collect_datasets(trace, config)[pc]
+    assert branches == [(pc, full.m)]
+    x = np.empty((full.m, config.l), dtype=np.int8)
+    assert np.array_equal(rows(0, np.arange(full.m), x), full.y)
+    assert np.array_equal(x, full.x)
 
 
 PCS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True)
@@ -144,7 +147,8 @@ def test_collect_datasets_equals_per_record_replay(case):
     including empty traces, traces inside the warmup, gh = 0 or lh = 0,
     targets missing from the trace, and PCs up to 2^64 - 1."""
     trace, config, targets = case
-    got = collect_datasets(trace, config, targets)
+    got = collect_datasets(trace, config)
+    got = {pc: ds for pc, ds in got.items() if targets is None or pc in targets}
     want = reference_collect_datasets(trace, config, targets)
     assert list(got) == list(want)
     for pc, ds in got.items():

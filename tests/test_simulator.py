@@ -1,9 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbp.errors import ConfigError
-from sbp.history import HistoryConfig
+from sbp.history import HistoryConfig, collect_datasets
 from sbp.hints import (
     FP32_WIDTH,
     Q3_4,
@@ -20,8 +23,10 @@ from sbp.simulator import (
     report_scurve,
     run,
     run_pipeline,
+    select_hints,
+    train_models,
 )
-from sbp.sparse_modeling import BranchScreen
+from sbp.sparse_modeling import BranchScreen, SolverConfig
 from sbp.trace_io import (
     PC_B,
     SyntheticScenario,
@@ -132,6 +137,49 @@ def test_pipeline_improves_correlated_branch():
     coup_b = corr.coupled_report.per_branch[PC_B].mispredictions
     assert coup_b < base_b / 10
     assert corr.coupled_report.mpki < corr.baseline_report.mpki
+
+
+def test_select_hints_skips_models_of_absent_pcs(correlated_trace):
+    # `select --models` may name PCs that the scoring trace lacks; they are
+    # skipped, in any order of the models
+    history = HistoryConfig(16, 4)
+    models = train_models(correlated_trace, history, BranchScreen(min_occurrences=2000),
+                          SolverConfig())
+    assert PC_B in models
+    absent = 0x10  # before every PC of the trace in pc order
+    assert absent not in set(correlated_trace.pc.tolist())
+    extra = dict(reversed({absent: replace(models[PC_B], pc=absent), **models}.items()))
+    config = SimConfig(history=history, gshare_index_bits=8)
+    for qspec in (Q3_4, None):
+        want = select_hints(correlated_trace, models, history, config, qspec, "relative", 8192)
+        got = select_hints(correlated_trace, extra, history, config, qspec, "relative", 8192)
+        assert any(h.pc == PC_B for h in want[0].hints)
+        assert got[:2] == want[:2]
+
+
+def test_training_and_scoring_hold_one_float64_copy():
+    # each branch's dataset keeps its float64 copy of the features while it
+    # lives: training and scoring must drop it once the branch is done, so
+    # the peak stays near the largest branch's copy, not the sum of them
+    trace = gen_correlated(SyntheticScenario(kind="correlated", length=24_000, seed=4,
+                                             noise_branches=4))
+    history = HistoryConfig(64, 16)
+    config = SimConfig(history=history)
+    m_max = max(ds.m for ds in collect_datasets(trace, history).values())
+    tracemalloc.start()
+    try:
+        models = train_models(trace, history, BranchScreen(min_occurrences=1000),
+                              SolverConfig())
+        train_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        select_hints(trace, models, history, config, Q3_4, "relative", 16384)
+        select_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(models) == 6
+    bound = 8 * m_max * history.l + 2 * 2**20
+    assert train_peak <= bound
+    assert select_peak <= bound
 
 
 def test_scurve_ordering_and_buckets():

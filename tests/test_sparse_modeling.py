@@ -13,7 +13,6 @@ from sbp.hints import dedup
 from sbp.history import HistoryConfig, TrainingDataset, collect_dataset, collect_datasets
 from sbp.sparse_modeling import (
     BranchScreen,
-    Design,
     SolverConfig,
     SparseModel,
     correct_count,
@@ -34,6 +33,11 @@ def make_dataset(x, y, pc=1):
     x = np.asarray(x, dtype=np.int8)
     config = HistoryConfig(gh=x.shape[1], lh=0)
     return TrainingDataset(pc, x, np.asarray(y, dtype=bool), config)
+
+
+def fresh(ds):
+    """The same samples in a new dataset, with nothing built on it yet."""
+    return TrainingDataset(ds.target_pc, ds.x, ds.y, ds.config)
 
 
 def bernoulli_dataset(m, l, rule, seed=0, pc=1):
@@ -205,11 +209,11 @@ def test_no_float32_feature_cache():
 
 def test_design_maps_each_column_to_its_first_twin():
     x = np.array([[1, -1, 1, 1, -1], [-1, -1, -1, 1, -1], [1, 1, 1, -1, 1]], dtype=np.int8)
-    design = Design(make_dataset(x, [True, False, False]))
-    assert design.first == [0, 1, 0, 3, 1]
-    assert design.columns.flags.f_contiguous
-    assert np.array_equal(design.columns, x)
-    assert np.array_equal(design.colsum, [1, -1, 1, 1, -1])
+    ds = make_dataset(x, [True, False, False])
+    assert ds.first == [0, 1, 0, 3, 1]
+    assert ds.columns.flags.f_contiguous
+    assert np.array_equal(ds.columns, x)
+    assert np.array_equal(ds.colsum, [1, -1, 1, 1, -1])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 17, 63, 65, 1001, 1920, 6987])
@@ -221,26 +225,26 @@ def test_twin_columns_give_identical_dot_products(m):
     for distinct, l in [(1, 9), (3, 12), (8, 16), (20, 20)]:  # (1, 9): all identical
         base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, distinct))
         x = np.ascontiguousarray(base[:, rng.integers(0, distinct, l)])
-        design = Design(make_dataset(x, np.zeros(m, dtype=bool)))
+        ds = make_dataset(x, np.zeros(m, dtype=bool))
         exact = x.T.astype(np.int64) @ x.astype(np.int64)
-        assert design.gram.dtype == np.float64
-        assert np.array_equal(design.gram, exact)
-        assert np.array_equal(design.colsum, x.sum(axis=0, dtype=np.int64))
+        assert ds.gram.dtype == np.float64
+        assert np.array_equal(ds.gram, exact)
+        assert np.array_equal(ds.colsum, x.sum(axis=0, dtype=np.int64))
         owner = {}
         expect = [owner.setdefault(x[:, j].tobytes(), j) for j in range(l)]
-        assert design.first == expect
-        for j, k in enumerate(design.first):
-            assert np.array_equal(design.gram[j], design.gram[k])
+        assert ds.first == expect
+        for j, k in enumerate(ds.first):
+            assert np.array_equal(ds.gram[j], ds.gram[k])
 
 
 def test_design_is_built_on_first_use():
     ds = make_dataset(np.ones((4, 3), dtype=np.int8), [True, False, True, True])
-    design = Design(ds)
-    assert vars(design) == {"dataset": ds}  # nothing computed yet
-    assert design.first == [0, 0, 0]
-    assert set(vars(design)) == {"dataset", "columns", "gram", "first"}
-    design.signs(0.0, np.zeros(3))
-    assert set(vars(design)) == {"dataset", "columns", "gram", "first"}  # no second copy
+    given = set(vars(ds))  # nothing computed yet
+    assert given == {"target_pc", "y", "config", "_x", "_gather"}
+    assert ds.first == [0, 0, 0]
+    assert set(vars(ds)) - given == {"columns", "gram", "first"}
+    ds.signs(0.0, np.zeros(3))
+    assert set(vars(ds)) - given == {"columns", "gram", "first"}  # no second copy
 
 
 def _scores(model, ds):
@@ -293,7 +297,7 @@ def test_fit_equals_reference_solver(problem):
     ds, lam, alpha, cfg = problem
     expect = reference_cd.fit(ds, lam, alpha, cfg)
     assert_matches_reference(fit(ds, lam, alpha, cfg), expect, ds, alpha)
-    assert fit(ds, lam, alpha, cfg, Design(ds)) == fit(ds, lam, alpha, cfg)
+    assert fit(ds, lam, alpha, cfg) == fit(fresh(ds), lam, alpha, cfg)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
@@ -305,21 +309,21 @@ def test_search_and_dedup_equal_reference(request, which, alpha):
     screened = [ds for ds in datasets.values() if ds.m >= 1000]
     assert screened
     for ds in screened:
-        design = Design(ds)
-        searched = lambda_search(ds, cfg, design)
-        model = dedup(ds, searched, cfg, design)
+        searched = lambda_search(ds, cfg)
+        model = dedup(ds, searched, cfg)
         expect_searched = reference_cd.lambda_search(ds, cfg)
         expect = reference_cd.dedup(ds, expect_searched, cfg)
         assert_matches_reference(searched, expect_searched, ds, alpha)
         # dedup returns the searched model, or its refit at alpha 0.5 (pure Lasso)
         refit_alpha = alpha if model is searched or alpha < 1.0 else 0.5
         assert_matches_reference(model, expect, ds, refit_alpha)
-        assert dedup(ds, lambda_search(ds, cfg), cfg) == model
+        again = fresh(ds)  # rows given, not gathered, and no parts built yet
+        assert dedup(again, lambda_search(again, cfg), cfg) == model
 
 
 class CountingDataset(TrainingDataset):
-    """Counts the reads of `x`: `Design` fills its columns without one, so
-    each read is a `signs` call that fell back to the int8 product."""
+    """Counts the reads of `x`: `columns` is filled without one, so each
+    read is a `signs` call that fell back to the int8 product."""
 
     reads = 0
 
@@ -340,20 +344,20 @@ GRID = [(1, 1), (2, 100), (7, 3), (64, 16), (1001, 80), (1920, 80), (4096, 33), 
 
 @pytest.mark.parametrize("m, l", GRID)
 def test_design_scores_are_the_bits_of_int8_products(m, l):
-    # every sign rule in the package comes from Design.signs, which sums over
+    # every sign rule in the package comes from TrainingDataset.signs, which sums over
     # the column-major copy in another order than numpy's int8 `x @ w`; the
     # booleans `bias + x @ w >= 0` must agree exactly, whatever the BLAS does
     rng = np.random.default_rng(m * 101 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
-    design = Design(make_dataset(x, rng.random(m) < 0.5))
+    ds = make_dataset(x, rng.random(m) < 0.5)
     for nnz in (0, 1, 3, l):
         w = np.zeros(l)
         w[rng.choice(l, size=min(nnz, l), replace=False)] = rng.normal(0.0, 1.0, min(nnz, l))
         bias = float(rng.normal())
-        assert np.array_equal(design.signs(bias, w), bias + x @ w >= 0), nnz
+        assert np.array_equal(ds.signs(bias, w), bias + x @ w >= 0), nnz
     r = rng.normal(0.0, 1.0, m)  # `x.T @ r` casts x.T in its row-major order
-    assert (design.columns.T @ r).tobytes() == (x.T @ r).tobytes()
-    assert design.columns.flags.f_contiguous
+    assert (ds.columns.T @ r).tobytes() == (x.T @ r).tobytes()
+    assert ds.columns.flags.f_contiguous
 
 
 @pytest.mark.parametrize("m, l", GRID)
@@ -364,13 +368,12 @@ def test_fixed_point_signs_with_exact_zero_sums(m, l, fraction_bits):
     rng = np.random.default_rng(m * 7 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
     ds = counting_dataset(x, rng.random(m) < 0.5)
-    design = Design(ds)
     steps = np.array([1, 3, 5, 127]) / 2.0**fraction_bits
     mixed = rng.choice(steps, l) * rng.choice([-1, 1], l)
     for bias, w in [(0.0, np.full(l, steps[0])), (steps[1], mixed),
                     (-8.0, np.where(np.arange(l) % 2 == 0, 7.9375, -7.9375))]:
         expect = bias + x @ w >= 0
-        assert np.array_equal(design.signs(bias, w), expect)
+        assert np.array_equal(ds.signs(bias, w), expect)
     assert ds.reads == 0
 
 
@@ -382,11 +385,10 @@ def test_ties_off_the_grid_fall_back_to_the_int8_product(m, l):
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
     x[:, 1] = x[:, 0]
     ds = counting_dataset(x, rng.random(m) < 0.5)
-    design = Design(ds)
     w = np.zeros(l)
     w[0], w[1] = 0.1, -0.1
     w[2:] = rng.normal(0.0, 1e-17, l - 2)
-    assert np.array_equal(design.signs(0.0, w), x @ w >= 0)
+    assert np.array_equal(ds.signs(0.0, w), x @ w >= 0)
     assert ds.reads == 1
 
 
@@ -394,13 +396,13 @@ def test_ties_off_the_grid_fall_back_to_the_int8_product(m, l):
 def test_large_weights_off_the_grid(m, l):
     rng = np.random.default_rng(m * 3 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
-    design = Design(counting_dataset(x, rng.random(m) < 0.5))
+    ds = counting_dataset(x, rng.random(m) < 0.5)
     for scale in (1e6, 1e12, 2.0**40):
         w = rng.normal(0.0, scale, l)
         bias = float(rng.normal(0.0, scale))
-        assert np.array_equal(design.signs(bias, w), bias + x @ w >= 0), scale
+        assert np.array_equal(ds.signs(bias, w), bias + x @ w >= 0), scale
     w = np.round(rng.normal(0.0, 2.0**23, l))  # on the grid, too large to be exact
-    assert np.array_equal(design.signs(0.5, w), 0.5 + x @ w >= 0)
+    assert np.array_equal(ds.signs(0.5, w), 0.5 + x @ w >= 0)
 
 
 def test_search_and_dedup_hold_one_float64_copy():
@@ -414,8 +416,7 @@ def test_search_and_dedup_hold_one_float64_copy():
     cfg = SolverConfig()
     tracemalloc.start()
     try:
-        design = Design(ds)
-        model = dedup(ds, lambda_search(ds, cfg, design), cfg, design)
+        model = dedup(ds, lambda_search(ds, cfg), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -426,21 +427,19 @@ def test_search_and_dedup_hold_one_float64_copy():
 def test_one_design_serves_fits_in_any_order():
     ds = bernoulli_dataset(3000, 24, lambda row: row[2] == 1 or row[9] == row[11], seed=12)
     cfg = SolverConfig()
-    design = Design(ds)
-    first, second, third = (fit(ds, lam, 1.0, cfg, design) for lam in (0.01, 0.002, 0.01))
-    assert first == third == fit(ds, 0.01, 1.0, cfg)
-    assert second == fit(ds, 0.002, 1.0, cfg)
+    first, second, third = (fit(ds, lam, 1.0, cfg) for lam in (0.01, 0.002, 0.01))
+    assert first == third == fit(fresh(ds), 0.01, 1.0, cfg)
+    assert second == fit(fresh(ds), 0.002, 1.0, cfg)
     assert first != second
 
 
-def test_scoring_with_a_design_equals_scoring_without():
+def test_scoring_a_fitted_dataset_equals_scoring_a_fresh_one():
     ds = bernoulli_dataset(800, 10, lambda row: row[0] + row[4] - row[7] > 0, seed=13)
     cfg = SolverConfig()
-    design = Design(ds)
     for alpha in (1.0, 0.5):
-        model = fit(ds, 0.005, alpha, cfg, design)
+        model = fit(ds, 0.005, alpha, cfg)  # builds the parts that ds keeps
         assert model.nnz > 0
-        assert np.array_equal(predictions(model, ds, design), predictions(model, ds))
-        assert correct_count(model, ds, design) == correct_count(model, ds)
-        assert eval_accuracy(model, ds, design) == eval_accuracy(model, ds) == model.accuracy
-        assert kkt_violation(model, ds, alpha, design) == kkt_violation(model, ds, alpha)
+        assert np.array_equal(predictions(model, ds), predictions(model, fresh(ds)))
+        assert correct_count(model, ds) == correct_count(model, fresh(ds))
+        assert eval_accuracy(model, ds) == eval_accuracy(model, fresh(ds)) == model.accuracy
+        assert kkt_violation(model, ds, alpha) == kkt_violation(model, fresh(ds), alpha)
