@@ -15,7 +15,7 @@ from .errors import (
     TraceFormatError,
     TraceTruncatedError,
 )
-from .history import HistoryConfig, TrainingDataset, collect_dataset, collect_datasets
+from .history import HistoryConfig, TrainingDataset, collect_datasets
 from .hints import (
     HintSet,
     QuantSpec,

@@ -210,6 +210,21 @@ def _cmd_train(args):
     return 0
 
 
+def _emit(text, output):
+    """Write `text` to the file `output`, or to stdout when there is none."""
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not an integer") from None
+
+
 def _number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{what} {value!r} is not a finite number")
@@ -226,10 +241,7 @@ def _model_from_json(pc, m, width):
             raise ValueError(f"model {pc}: {key} {value!r} is not true or false")
     weights = {}
     for j_s, w in m["weights"].items():
-        try:
-            j = int(j_s)
-        except ValueError:
-            raise ValueError(f"model {pc}: weight index {j_s!r} is not an integer") from None
+        j = _int(j_s, f"model {pc}: weight index")
         if not 0 <= j < width:
             raise ValueError(f"model {pc}: weight index {j} is outside [0, {width})")
         weights[j] = _number(w, f"model {pc}: weight {j}")
@@ -256,10 +268,10 @@ def _load_models_json(path):
     data = _read_json(path)
     try:
         gh, lh = data["gh"], data["lh"]
-        models = {
-            int(pc_s): _model_from_json(int(pc_s), m, gh + lh)
-            for pc_s, m in data["models"].items()
-        }
+        models = {}
+        for key, m in data["models"].items():
+            pc = _int(key, "model key")
+            models[pc] = _model_from_json(pc, m, gh + lh)
     except (AttributeError, KeyError, TypeError) as e:
         raise SbpError(f"{path}: not a models file from `sbp train` ({e!r})") from None
     except ValueError as e:
@@ -289,12 +301,7 @@ def _cmd_simulate(args):
         lh = hintset.config.lh
         raise ConfigError(f"{args.hints}: hint file lh {lh} disagrees with --lh {args.lh}")
     trace = read_trace(args.trace)
-    report = run(trace, sim_config, hintset=hintset)
-    text = report.to_json()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(run(trace, sim_config, hintset=hintset).to_json(), args.output)
     return 0
 
 
@@ -369,11 +376,7 @@ def _cmd_online(args):
         }
         for pc, r in sorted(results.items())
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
 
@@ -413,11 +416,7 @@ def _cmd_report(args):
             phase, mpki = _read_report(path)
             entries.append((phase or Path(path).stem, mpki, mpki))
     table = report_scurve(entries)
-    csv = render_scurve_csv(table)
-    if args.output:
-        Path(args.output).write_text(csv)
-    else:
-        sys.stdout.write(csv)
+    _emit(render_scurve_csv(table), args.output)
     for b in table["buckets"]:
         lo, hi = b["range"]
         print(

@@ -44,20 +44,6 @@ def past(col, length, fill):
     return sliding_window_view(padded, length)[:-1, ::-1]
 
 
-def ints_to_pm1(values, nbits):
-    """Vectorized: list of history ints -> (len(values), nbits) int8 matrix in {-1,+1}.
-
-    Bit i of a history int (i = 0 newest, 1 = taken) becomes column i."""
-    m = len(values)
-    if nbits == 0:
-        return np.zeros((m, 0), dtype=np.int8)
-    nbytes = (nbits + 7) // 8
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, nbytes)
-    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :nbits]
-    return bits.astype(np.int8) * 2 - 1
-
-
 def sample_rows(trace, config, targets=None):
     """(branches, rows): (pc, m) per target (targets=None: every PC) with m > 0
     samples after the warmup of gh+lh records, in the order of each PC's first
@@ -108,15 +94,7 @@ def collect_datasets(trace, config):
             rows(i, np.arange(s, min(s + GATHER_ROWS, m)), out[s : s + GATHER_ROWS])
 
     return {
-        pc: TrainingDataset(pc, None, rows(i, np.arange(m)), config, partial(gather, i, m))
+        pc: TrainingDataset(pc, rows(i, np.arange(m)), config, partial(gather, i, m))
         for i, (pc, m) in enumerate(branches)
     }
 
-
-def collect_dataset(trace, config, target_pc):
-    """Single-target variant; absent/never-post-warmup targets give m = 0."""
-    ds = collect_datasets(trace, config)
-    if target_pc in ds:
-        return ds[target_pc]
-    empty = np.zeros((0, config.l), dtype=np.int8)
-    return TrainingDataset(target_pc, empty, np.zeros(0, dtype=bool), config)

@@ -86,20 +86,20 @@ def run_online(trace, history, target_pcs=None, config=None):
             np.subtract(wk, gx, wk)
             np.add(nbk, g, nbk)
             np.add(uk, elk, uk)
-            if config.lambda_init > 0.0:  # then lam stays > 0 (OnlineConfig); else plain SGD
-                # Clip at zero: w > 0 to max(0, w - (u + q)), w < 0 to min(0, w + (u - q)),
-                # as w - s*(u + s*q), s = sign(w), which rounds the same; q adds the shrinkage.
-                np.sign(wk, sgn)
-                np.multiply(sgn, qk, new)
-                np.add(new, uk, new)
-                np.multiply(new, sgn, new)
-                np.subtract(wk, new, new)
-                np.multiply(sgn, new, sgn)
-                np.less_equal(sgn, zero, clipped)  # crossed zero, or was zero
-                new[clipped] = 0.0
-                np.subtract(new, wk, sgn)
-                np.add(qk, sgn, qk)
-                wk[...] = new
+            # Clip at zero: w > 0 to max(0, w - (u + q)), w < 0 to min(0, w + (u - q)),
+            # as w - s*(u + s*q), s = sign(w), which rounds the same; q adds the shrinkage.
+            # At lambda 0 (plain SGD), u and q stay 0 and no weight moves.
+            np.sign(wk, sgn)
+            np.multiply(sgn, qk, new)
+            np.add(new, uk, new)
+            np.multiply(new, sgn, new)
+            np.subtract(wk, new, new)
+            np.multiply(sgn, new, sgn)
+            np.less_equal(sgn, zero, clipped)  # crossed zero, or was zero
+            new[clipped] = 0.0
+            np.subtract(new, wk, sgn)
+            np.add(qk, sgn, qk)
+            wk[...] = new
             if step % config.adaptation_interval == 0:
                 nnz = np.count_nonzero(wk, axis=1)
                 samples.append(nnz.tolist())

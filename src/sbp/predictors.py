@@ -224,7 +224,7 @@ class TageLite:
         pcs = np.asarray(pcs, dtype=np.uint64)
         self._pc_index = fold_pcs(pcs, self._index_bits)
         self._pc_tag = fold_pcs(pcs, config.tag_bits)
-        self._pc_base = pcs & np.uint64(config.base_entries - 1)
+        self._pc_base = pcs % np.uint64(config.base_entries)
         self._alloc = [0] * len(pcs)
         self._snap_sum = np.zeros(len(pcs), dtype=np.int64)
         self._snap_count = 0
@@ -240,10 +240,10 @@ class TageLite:
         )
         k, off = ids[rows], rows - start
         pc_index, pc_tag = self._pc_index[k], self._pc_tag[k]
-        imask, tmask = cfg.table_entries - 1, (1 << cfg.tag_bits) - 1
+        size, tmask = np.uint64(cfg.table_entries), (1 << cfg.tag_bits) - 1
         slots, tags = [], []
         for t in range(cfg.num_tables):
-            index = (pc_index ^ hists[t][off] ^ np.uint64(t)) & np.uint64(imask)
+            index = (pc_index ^ hists[t][off] ^ np.uint64(t)) % size
             slots.append(memoryview(index.astype(np.int64) + t * cfg.table_entries))
             tag = (pc_tag ^ tag_hists[t][off] ^ np.uint64(t << 1)) & np.uint64(tmask)
             tags.append(memoryview(tag.astype(np.int64) + 1))

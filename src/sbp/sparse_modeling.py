@@ -92,26 +92,18 @@ def _sigmoid(z, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def objective(z, y, w, lam, alpha):
-    """Mean logistic loss plus the elastic-net penalty, at margin vector z."""
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    pen = lam * (alpha * np.abs(w).sum() + 0.5 * (1 - alpha) * (w @ w))
-    return loss + pen
-
-
 class TrainingDataset:
     """A branch's samples: the outcomes `y` ((m,) bool) and the (m, gh+lh)
-    feature rows in {-1,+1}, GHR segment first, the int8 matrix `x` given or,
-    with x None, gathered by `gather(out)` on each use. What its fits and
-    scores read is built on first use and kept while it lives: `columns`, the
-    one column-major float64 copy of the rows; `gram`, its `X.T @ X`;
-    `colsum`, its column sums; `start`, the gradient and bias gradient at
-    w = 0, b = 0; and `first[j]`, the smallest index of a column identical to
-    column j (+-1 columns are identical exactly when their Gram entry is m)."""
+    feature rows in {-1,+1}, GHR segment first, which `gather(out)` writes
+    into `out` on each use. What its fits and scores read is built on first
+    use and kept while it lives: `columns`, the one column-major float64 copy
+    of the rows; `gram`, its `X.T @ X`; `colsum`, its column sums; `start`,
+    the gradient and bias gradient at w = 0, b = 0; and `first[j]`, the
+    smallest index of a column identical to column j (+-1 columns are
+    identical exactly when their Gram entry is m)."""
 
-    def __init__(self, target_pc, x, y, config, gather=None):
-        self.target_pc, self.y, self.config = target_pc, y, config
-        self._x, self._gather = x, gather
+    def __init__(self, target_pc, y, config, gather):
+        self.target_pc, self.y, self.config, self._gather = target_pc, y, config, gather
 
     @property
     def m(self):
@@ -123,18 +115,13 @@ class TrainingDataset:
 
     @property
     def x(self):
-        """The (m, l) int8 rows: the matrix given, or a fresh gathered copy."""
-        if self._x is not None:
-            return self._x
+        """A fresh gathered copy of the (m, l) rows, as int8."""
         return self.fill(np.empty((self.m, self.config.l), dtype=np.int8))
 
     def fill(self, out):
         """Write the (m, l) rows into `out`, any numeric array of that shape,
         and return it."""
-        if self._x is None:
-            self._gather(out)
-        else:
-            out[...] = self._x
+        self._gather(out)
         return out
 
     def signs(self, bias, w):

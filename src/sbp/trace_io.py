@@ -66,28 +66,34 @@ class Trace:
         return pcs.tolist(), ids
 
 
-def _gap_mask(size, starts):
-    """Mask over a record body that is False on the u32 gap following each
-    escaped record (starting at the byte offsets `starts`)."""
-    keep = np.ones(size, dtype=bool)
-    for k in range(_RSIZE, _RSIZE + 4):
-        keep[starts + k] = False
-    return keep
+def _starts(escaped, done=0):
+    """The byte offsets past the header of consecutive records, the first at
+    `done`, from their bool column `escaped` (a record whose gap escapes is
+    followed by a u32): record i starts 10 i + 4 (escapes before i) bytes
+    after the first."""
+    return done + _RSIZE * np.arange(len(escaped)) + 4 * (np.cumsum(escaped) - escaped)
+
+
+def _field(data, dtype, at):
+    """The view of the `dtype` values at byte 16 + at + 2k of the file bytes
+    `data`, for every k they fit at. Records start an even number of bytes
+    past the header, so record i's field is element starts[i] // 2."""
+    data = memoryview(data)[_HEADER.size + at :]
+    return np.ndarray((max(0, (len(data) - np.dtype(dtype).itemsize) // 2 + 1),), dtype, data,
+                      strides=(2,))
 
 
 def write_trace(trace, path):
     """Serialize a trace; byte output is a pure function of the trace."""
-    escaped = np.flatnonzero(trace.gap >= GAP_ESCAPE)
-    rec = np.empty(len(trace), dtype=_RECORD)
-    rec["pc"], rec["flags"] = trace.pc, trace.taken
-    rec["gap"] = np.minimum(trace.gap, GAP_ESCAPE)
-    starts = _RSIZE * escaped + 4 * np.arange(len(escaped))
-    keep = _gap_mask(rec.nbytes + 4 * len(escaped), starts)
-    body = np.empty(len(keep), dtype=np.uint8)
-    body[keep] = rec.view(np.uint8)
-    body[~keep] = trace.gap[escaped].astype("<u4").view(np.uint8)
-    header = _HEADER.pack(MAGIC, VERSION, 0, trace.total_instructions)
-    Path(path).write_bytes(header + body.tobytes())
+    escaped = trace.gap >= GAP_ESCAPE
+    at = _starts(escaped) // 2
+    data = bytearray(_HEADER.size + _RSIZE * len(trace) + 4 * int(escaped.sum()))
+    _HEADER.pack_into(data, 0, MAGIC, VERSION, 0, trace.total_instructions)
+    _field(data, "<u8", 0)[at] = trace.pc
+    _field(data, "u1", 8)[at] = trace.taken
+    _field(data, "u1", 9)[at] = np.minimum(trace.gap, GAP_ESCAPE)
+    _field(data, "<u4", _RSIZE)[at[escaped]] = trace.gap[escaped]
+    Path(path).write_bytes(data)
 
 
 def _scan(data):
@@ -124,30 +130,23 @@ def _scan(data):
 
 
 def _gather(data, runs, phase_id):
-    """The trace of the records after the header, in the `runs` of `_scan`.
-    Every record starts an even number of bytes past the header, so each
-    field is read through a view at a 2-byte stride, in blocks of _ID_BLOCK
-    records."""
-
-    def field(dtype, at):  # the values at byte 16 + at + 2k, for every k they fit at
-        size = np.dtype(dtype).itemsize
-        return np.ndarray(((len(data) - _HEADER.size - at - size) // 2 + 1,), dtype, data,
-                          _HEADER.size + at, (2,))
-
+    """The trace of the records after the header, in the `runs` of `_scan`,
+    read through the `_field` views in blocks of _ID_BLOCK records."""
     runs = np.frombuffer(runs, dtype=np.int64)
-    escaped = np.repeat(np.arange(len(runs)) % 2 == 1, runs)  # 14 bytes long
+    escaped = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
     count = len(escaped)
     pc, flags = np.empty(count, np.uint64), np.empty(count, np.uint8)
     gap = np.empty(count, np.uint32)
-    done = 0  # escaped records before the block
+    views = [_field(data, dtype, at) for dtype, at in (("<u8", 0), ("u1", 8), ("u1", 9))]
+    gap32 = _field(data, "<u4", _RSIZE)
+    done = 0  # where the block's first record starts
     for s in range(0, count, _ID_BLOCK):
         t = slice(s, min(s + _ID_BLOCK, count))
         e = escaped[t]
-        before = np.cumsum(e) - e + done
-        at = 5 * np.arange(t.start, t.stop) + 2 * before  # record i starts at 16 + 2 at[i]
-        pc[t], flags[t], gap[t] = field("<u8", 0)[at], field("u1", 8)[at], field("u1", 9)[at]
-        gap[t][e] = field("<u4", _RSIZE)[at[e]]
-        done = int(before[-1] + e[-1])
+        at = _starts(e, done) // 2
+        pc[t], flags[t], gap[t] = (view[at] for view in views)
+        gap[t][e] = gap32[at[e]]
+        done += _RSIZE * len(e) + 4 * int(e.sum())
     return Trace(pc, (flags & 1) != 0, gap, phase_id=phase_id)
 
 

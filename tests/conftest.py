@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -59,6 +60,11 @@ def random_trace(n, n_pcs=4, seed=0):
     pcs = [0x400000 + 4 * i for i in range(n_pcs)]
     picks = [(rng.choice(pcs), rng.random() < 0.5) for _ in range(n)]
     return Trace([pc for pc, _ in picks], [taken for _, taken in picks], phase_id=f"rand_{seed}")
+
+
+def gather_from(x):
+    """A `TrainingDataset` gatherer whose rows are those of the matrix `x`."""
+    return lambda out: np.copyto(out, x)
 
 
 def write_out_of_range_hint(path):

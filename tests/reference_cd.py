@@ -15,10 +15,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from sbp.sparse_modeling import LAMBDA_PROBES, SparseModel, eval_accuracy, objective
+from sbp.sparse_modeling import LAMBDA_PROBES, SparseModel, eval_accuracy
 
 CURVATURE = 0.25
 INNER_SWEEPS = 10
+
+
+def objective(z, y, w, lam, alpha):
+    """Mean logistic loss plus the elastic-net penalty, at margin vector z."""
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    pen = lam * (alpha * np.abs(w).sum() + 0.5 * (1 - alpha) * (w @ w))
+    return loss + pen
 
 
 def _sigmoid(z):

@@ -8,7 +8,22 @@ with sliding windows; these loops are the oracle the tests compare it with.
 
 import numpy as np
 
-from sbp.history import TrainingDataset, ints_to_pm1
+from sbp.history import TrainingDataset
+from tests.conftest import gather_from
+
+
+def ints_to_pm1(values, nbits):
+    """Vectorized: list of history ints -> (len(values), nbits) int8 matrix in {-1,+1}.
+
+    Bit i of a history int (i = 0 newest, 1 = taken) becomes column i."""
+    m = len(values)
+    if nbits == 0:
+        return np.zeros((m, 0), dtype=np.int8)
+    nbytes = (nbits + 7) // 8
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, nbytes)
+    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :nbits]
+    return bits.astype(np.int8) * 2 - 1
 
 
 def replay(trace, config, targets=None):
@@ -41,6 +56,7 @@ def reference_collect_datasets(trace, config, targets=None):
         entry[1].append(lhr)
         entry[2].append(taken)
     return {
-        pc: TrainingDataset(pc, features(g, l, config), np.array(ys, dtype=bool), config)
+        pc: TrainingDataset(pc, np.array(ys, dtype=bool), config,
+                            gather_from(features(g, l, config)))
         for pc, (g, l, ys) in raw.items()
     }

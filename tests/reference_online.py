@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sbp.history import ints_to_pm1
 from sbp.online_sgd import OnlineConfig, OnlineResult
-from tests.reference_history import replay
+from tests.reference_history import ints_to_pm1, replay
 
 
 @dataclass

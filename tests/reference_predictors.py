@@ -92,8 +92,6 @@ class TageLite:
         self.config = config
         ib = (config.table_entries - 1).bit_length()
         self._index_bits = ib
-        self._imask = config.table_entries - 1
-        self._base_mask = config.base_entries - 1
         self.base = [1] * config.base_entries  # weakly not-taken
         self.tables = [
             [_TageEntry() for _ in range(config.table_entries)]
@@ -109,7 +107,8 @@ class TageLite:
         tags = []
         for t, length in enumerate(self.config.history_lengths):
             hist = ghr & ((1 << length) - 1)
-            idxs.append((fold(pc, self._index_bits) ^ fold(hist, self._index_bits) ^ t) & self._imask)
+            index = fold(pc, self._index_bits) ^ fold(hist, self._index_bits) ^ t
+            idxs.append(index % self.config.table_entries)
             tags.append(
                 (fold(pc, self.config.tag_bits) ^ fold(hist, self.config.tag_bits) ^ (t << 1))
                 & ((1 << self.config.tag_bits) - 1)
@@ -127,10 +126,10 @@ class TageLite:
         if provider is not None:
             pred = self.tables[provider][idxs[provider]].ctr >= 4
         else:
-            pred = self.base[pc & self._base_mask] >= 2
+            pred = self.base[pc % self.config.base_entries] >= 2
         alt = None
         if provider is not None:
-            alt = self.base[pc & self._base_mask] >= 2
+            alt = self.base[pc % self.config.base_entries] >= 2
             for t in range(provider - 1, -1, -1):
                 e = self.tables[t][idxs[t]]
                 if e.valid and e.tag == tags[t]:
@@ -155,7 +154,7 @@ class TageLite:
             if alt is not None and pred != alt:
                 e.u = min(e.u + 1, 3) if pred == taken else max(e.u - 1, 0)
         else:
-            i = pc & self._base_mask
+            i = pc % self.config.base_entries
             c = self.base[i]
             self.base[i] = min(c + 1, 3) if taken else max(c - 1, 0)
         if pred != taken:

@@ -3,11 +3,13 @@
 One `struct` unpack or pack per record, the gap escape handled record by
 record, and the correlated generator with one `random()` call per coin.
 `sbp.trace_io` reads, writes and draws whole columns; these loops are the
-oracle the tests compare it with.
+oracle the tests compare it with. `masked_write_trace` is the earlier
+columnar writer, kept as a second oracle for `write_trace`.
 """
 
 import random
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +34,37 @@ def reference_write(records):
             out += _RECORD.pack(pc, flags, GAP_ESCAPE)
             out += _GAP32.pack(gap)
     return bytes(out)
+
+
+# The columnar writer as it stood before the records' offsets were stated
+# once for the reader and the writer, verbatim but for its names: a mask over
+# the whole body that is False on each escaped record's u32.
+_RECORD_DTYPE = np.dtype([("pc", "<u8"), ("flags", "u1"), ("gap", "u1")])
+_RSIZE = _RECORD_DTYPE.itemsize
+
+
+def _gap_mask(size, starts):
+    """Mask over a record body that is False on the u32 gap following each
+    escaped record (starting at the byte offsets `starts`)."""
+    keep = np.ones(size, dtype=bool)
+    for k in range(_RSIZE, _RSIZE + 4):
+        keep[starts + k] = False
+    return keep
+
+
+def masked_write_trace(trace, path):
+    """Serialize a trace; byte output is a pure function of the trace."""
+    escaped = np.flatnonzero(trace.gap >= GAP_ESCAPE)
+    rec = np.empty(len(trace), dtype=_RECORD_DTYPE)
+    rec["pc"], rec["flags"] = trace.pc, trace.taken
+    rec["gap"] = np.minimum(trace.gap, GAP_ESCAPE)
+    starts = _RSIZE * escaped + 4 * np.arange(len(escaped))
+    keep = _gap_mask(rec.nbytes + 4 * len(escaped), starts)
+    body = np.empty(len(keep), dtype=np.uint8)
+    body[keep] = rec.view(np.uint8)
+    body[~keep] = trace.gap[escaped].astype("<u4").view(np.uint8)
+    header = _HEADER.pack(MAGIC, VERSION, 0, trace.total_instructions)
+    Path(path).write_bytes(header + body.tobytes())
 
 
 def reference_read(data):

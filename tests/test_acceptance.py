@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from sbp.cli import dispatch
-from sbp.history import HistoryConfig, collect_dataset, ints_to_pm1
+from sbp.history import HistoryConfig, TrainingDataset, collect_datasets
 from sbp.hints import (
     Q3_4,
     Q3_12,
@@ -37,7 +37,6 @@ from sbp.sparse_modeling import (
     fit,
     kkt_violation,
     lambda_search,
-    objective,
     predictions,
 )
 from sbp.trace_io import (
@@ -48,6 +47,9 @@ from sbp.trace_io import (
     gen_loop,
     gen_utilization,
 )
+from tests.conftest import gather_from
+from tests.reference_cd import objective
+from tests.reference_history import ints_to_pm1
 from tests.reference_solver import reference_fit, reference_objective
 
 
@@ -58,7 +60,7 @@ def test_criterion_01_sparse_recovery(check):
     trace = gen_correlated(
         SyntheticScenario(kind="correlated", length=1_000_000, seed=7, noise_branches=8)
     )
-    ds = collect_dataset(trace, HistoryConfig(gh=64, lh=16), PC_B)
+    ds = collect_datasets(trace, HistoryConfig(gh=64, lh=16))[PC_B]
     model = lambda_search(ds, SolverConfig())
     elapsed = time.time() - t0
     dominant = max(model.weights, key=lambda j: abs(model.weights[j]))
@@ -166,7 +168,7 @@ def test_criterion_05_deduplication(check):
     each identical-column group carries at most one weight and the predictions
     are unchanged from the uncollapsed mixed-penalty refit."""
     trace = gen_loop(SyntheticScenario(kind="loop", length=5_000, loop_period=5))
-    ds = collect_dataset(trace, HistoryConfig(gh=10, lh=10), PC_LOOP)
+    ds = collect_datasets(trace, HistoryConfig(gh=10, lh=10))[PC_LOOP]
     cfg = SolverConfig()
     lasso = lambda_search(ds, cfg)
     en = fit(ds, lasso.lam, 0.5, cfg)
@@ -309,7 +311,7 @@ def test_criterion_09_online_vs_offline(check):
     trace = gen_correlated(
         SyntheticScenario(kind="correlated", length=100_000, seed=1, noise_branches=8)
     )
-    ds = collect_dataset(trace, history, PC_B)
+    ds = collect_datasets(trace, history)[PC_B]
     model = quantize(lambda_search(ds, SolverConfig()), Q3_4)
     hint = hint_from_model(model, Q3_4)
     hs = HintSet(trace.phase_id,
@@ -344,8 +346,7 @@ def test_criterion_10_solver_against_reference(check):
         lam = float(10 ** rng.uniform(-3, -0.7))
         alpha = 1.0 if trial % 2 == 0 else 0.5
 
-        from sbp.history import TrainingDataset
-        ds = TrainingDataset(1, x, y, HistoryConfig(gh=l, lh=0))
+        ds = TrainingDataset(1, y, HistoryConfig(gh=l, lh=0), gather_from(x))
         model = fit(ds, lam, alpha, cfg)
         w = model.weight_vector(l)
         obj_cd = objective(model.bias + x.astype(np.float64) @ w, y.astype(float),

@@ -414,6 +414,17 @@ def test_select_rejects_bad_model_values(tmp_path, capsys, model, message):
     assert not (tmp_path / "h.sbph").exists()
 
 
+def test_select_names_a_model_key_that_is_not_a_pc(tmp_path, capsys):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    models.write_text(json.dumps({"gh": 4, "lh": 0, "models": {"zz": _model()}}))
+    capsys.readouterr()
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
+    assert capsys.readouterr().err == f"sbp: {models}: model key 'zz' is not an integer\n"
+
+
 def test_select_accepts_integer_model_values(tmp_path):
     # JSON integers are numbers too
     trace = tmp_path / "loop.sbpt"
@@ -577,7 +588,8 @@ def test_simulate_survives_mutated_hint_files(fuzz_inputs, data):
     """A truncated or bit-flipped hint file ends in exit 0, or in 1 or 2 with
     an `sbp:` message: never in an exception."""
     trace, original = fuzz_inputs
-    mutated = bytearray(original[: data.draw(st.integers(0, len(original)), label="size")])
+    size = data.draw(st.just(len(original)) | st.integers(0, len(original)), label="size")
+    mutated = bytearray(original[:size])
     flips = data.draw(st.lists(st.integers(0, 8 * len(original) - 1), max_size=3), label="flips")
     for bit in flips:
         if bit < 8 * len(mutated):
@@ -591,3 +603,67 @@ def test_simulate_survives_mutated_hint_files(fuzz_inputs, data):
                          "-o", Path(tmp) / "r.json")
     assert rc in (0, 1, 2)
     assert rc == 0 or err.getvalue().startswith("sbp: ")
+
+
+# Out-of-range and non-finite values of the range-checked flags, per command.
+# Each is passed as --flag=value, so that argparse reads "-inf" as a value.
+# No value is a size that would allocate much memory if it were accepted.
+NON_FINITE = ["nan", "inf", "-inf", "-1", "-0.5"]
+HISTORY_BAD = {"--gh": ["-1", "65536"], "--lh": ["-3", "70000"]}
+FUZZ_FLAGS = {
+    "simulate": {**HISTORY_BAD, "--gshare-bits": ["-1", "25"],
+                 "--tage-entries": ["0", "-2", "65537"]},
+    "online": {**HISTORY_BAD, "--eta": NON_FINITE + ["0"]},
+    "train": {**HISTORY_BAD, "--alpha": NON_FINITE + ["1.5"]},
+    "select": {**HISTORY_BAD, "--budget-kb": NON_FINITE + ["0"]},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_trace(tmp_path_factory):
+    """A 400-record correlated trace (4 PCs, 100 records each), and models
+    trained on it (gh 4, lh 2)."""
+    base = tmp_path_factory.mktemp("fuzz_trace")
+    trace, models = base / "corr.sbpt", base / "models.json"
+    assert run_cli("gen", "--kind", "correlated", "--m", 2, "--len", 400, "--seed", 9,
+                   "-o", trace) == 0
+    assert run_cli("train", "--trace", trace, "--gh", 4, "--lh", 2, "--min-occurrences", 90,
+                   "-o", models) == 0
+    return trace, models
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_commands_survive_mutated_traces_and_bad_flags(fuzz_trace, data):
+    """`simulate`, `online`, `train` and `select` on a truncated, bit-flipped
+    or extended trace, with at most one flag out of range, end in exit 0, or
+    in 1 or 2 with an `sbp:` message: never in an exception."""
+    original, models = fuzz_trace[0].read_bytes(), fuzz_trace[1]
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)), label="command")
+    size = data.draw(st.just(len(original)) | st.integers(0, len(original)), label="size")
+    mutated = bytearray(original[:size])
+    mutated += data.draw(st.binary(max_size=30), label="extension")
+    flips = data.draw(st.lists(st.integers(0, 8 * len(mutated) - 1), max_size=3)
+                      if mutated else st.just([]), label="flips")
+    for bit in flips:
+        mutated[bit // 8] ^= 1 << (bit % 8)
+    flag = data.draw(st.none() | st.sampled_from(sorted(FUZZ_FLAGS[command])), label="flag")
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, out = Path(tmp) / "t.sbpt", Path(tmp) / "out"
+        trace.write_bytes(bytes(mutated))
+        argv = [command, "--trace", trace, "--gh", 4, "--lh", 2, "-o", out]
+        if command == "simulate":  # each baseline checks its own size flag
+            baseline = {"--gshare-bits": "gshare", "--tage-entries": "tage-lite"}.get(flag)
+            argv += ["--baseline", baseline or data.draw(st.sampled_from(["gshare", "tage-lite"]))]
+        elif command == "train":
+            argv += ["--min-occurrences", 90]
+        elif command == "select":
+            argv += ["--models", models, "--budget-kb", 1]
+        if flag is not None:
+            argv.append(f"{flag}={data.draw(st.sampled_from(FUZZ_FLAGS[command][flag]))}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run_cli(*argv)
+    assert rc in (0, 1, 2)
+    assert rc == 0 or err.getvalue().startswith("sbp: ")
+    assert flag is None or rc == 2

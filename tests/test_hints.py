@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbp.errors import ConfigError, HintFormatError
-from sbp.history import HistoryConfig, TrainingDataset, collect_dataset
+from sbp.history import HistoryConfig, TrainingDataset, collect_datasets
 from sbp.hints import (
     FP32_WIDTH,
     Q3_4,
@@ -36,7 +36,7 @@ from sbp.hints import (
 from sbp.sparse_modeling import SolverConfig, SparseModel, fit, lambda_search, predictions
 from sbp.trace_io import PC_LOOP, SyntheticScenario, gen_loop
 from tests import reference_hints
-from tests.conftest import write_out_of_range_hint
+from tests.conftest import gather_from, write_out_of_range_hint
 
 
 def test_quant_spec_parse():
@@ -97,7 +97,7 @@ def test_storage_bits_examples():
 
 def test_dedup_collapses_duplicate_columns():
     trace = gen_loop(SyntheticScenario(kind="loop", length=4000, loop_period=3))
-    ds = collect_dataset(trace, HistoryConfig(gh=6, lh=6), PC_LOOP)
+    ds = collect_datasets(trace, HistoryConfig(gh=6, lh=6))[PC_LOOP]
     cfg = SolverConfig()
     lasso = lambda_search(ds, cfg)
     dd = dedup(ds, lasso, cfg)
@@ -111,7 +111,7 @@ def test_dedup_collapses_duplicate_columns():
 
 def test_dedup_preserves_elasticnet_predictions():
     trace = gen_loop(SyntheticScenario(kind="loop", length=4000, loop_period=3))
-    ds = collect_dataset(trace, HistoryConfig(gh=6, lh=6), PC_LOOP)
+    ds = collect_datasets(trace, HistoryConfig(gh=6, lh=6))[PC_LOOP]
     cfg = SolverConfig()
     lasso = lambda_search(ds, cfg)
     en = fit(ds, lasso.lam, 0.5, cfg)
@@ -123,7 +123,7 @@ def test_dedup_keeps_insufficient_flag():
     rng = random.Random(0)
     x = np.array([[rng.choice((-1, 1)) for _ in range(8)] for _ in range(2000)], dtype=np.int8)
     y = np.array([rng.random() < 0.5 for _ in range(2000)], dtype=bool)
-    ds = TrainingDataset(1, x, y, HistoryConfig(gh=8, lh=0))
+    ds = TrainingDataset(1, y, HistoryConfig(gh=8, lh=0), gather_from(x))
     cfg = SolverConfig()
     lasso = lambda_search(ds, cfg)
     assert not lasso.sufficient

@@ -7,17 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbp.history import (
-    HistoryConfig,
-    collect_dataset,
-    collect_datasets,
-    ints_to_pm1,
-    past,
-    sample_rows,
-)
+from sbp.history import HistoryConfig, collect_datasets, past, sample_rows
 from sbp.trace_io import PC_B, PC_LOOP, SyntheticScenario, Trace, gen_correlated, gen_loop
 from tests.conftest import random_trace
-from tests.reference_history import reference_collect_datasets
+from tests.reference_history import ints_to_pm1, reference_collect_datasets
 
 
 def test_ints_to_pm1_bit_order():
@@ -59,7 +52,7 @@ def test_collect_datasets_matches_reference_queue():
 def test_features_layout():
     config = HistoryConfig(gh=3, lh=2)
     trace = Trace([9, 7, 7, 7, 7, 7], [False, True, False, True, True, False])
-    ds = collect_dataset(trace, config, 7)
+    ds = collect_datasets(trace, config)[7]
     # one sample, read before the last record: GHR segment first (newest =
     # index 0), then the LHR segment of pc 7
     assert ds.x.tolist() == [[1, 1, -1, 1, 1]]
@@ -69,7 +62,7 @@ def test_features_layout():
 def test_local_history_pads_with_not_taken():
     # the sample is pc 2's second occurrence: one outcome of local history
     trace = Trace([1, 1, 2, 2], [True, False, True, False])
-    ds = collect_dataset(trace, HistoryConfig(gh=1, lh=2), 2)
+    ds = collect_datasets(trace, HistoryConfig(gh=1, lh=2))[2]
     assert ds.x.tolist() == [[1, 1, -1]]
 
 
@@ -93,7 +86,7 @@ def test_samples_use_history_before_update():
     # Single branch, alternating outcomes: with gh=1 the feature is the
     # previous outcome, so it must be the opposite of the label every time.
     trace = Trace([5] * 50, [i % 2 == 0 for i in range(50)])
-    ds = collect_dataset(trace, HistoryConfig(gh=1, lh=0), 5)
+    ds = collect_datasets(trace, HistoryConfig(gh=1, lh=0))[5]
     assert ds.m == 49
     assert np.all((ds.x[:, 0] == 1) != ds.y)
 
@@ -101,16 +94,15 @@ def test_samples_use_history_before_update():
 def test_loop_lhr_mirrors_ghr():
     # One static branch only: its local history equals the global history.
     trace = gen_loop(SyntheticScenario(kind="loop", length=500, loop_period=5))
-    ds = collect_dataset(trace, HistoryConfig(gh=4, lh=4), PC_LOOP)
+    ds = collect_datasets(trace, HistoryConfig(gh=4, lh=4))[PC_LOOP]
     assert np.array_equal(ds.x[:, :4], ds.x[:, 4:])
 
 
-def test_missing_target_gives_empty_dataset():
+def test_missing_target_has_no_dataset():
     trace = random_trace(50, seed=1)
-    ds = collect_dataset(trace, HistoryConfig(gh=4, lh=2), 0xDEAD)
-    assert ds.m == 0
-    assert ds.taken_rate == 0.0
-    assert ds.x.shape == (0, 6)
+    config = HistoryConfig(gh=4, lh=2)
+    assert 0xDEAD not in collect_datasets(trace, config)
+    assert sample_rows(trace, config, targets={0xDEAD})[0] == []
 
 
 def test_targets_filter():

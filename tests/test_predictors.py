@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbp import predictors
 from sbp.errors import ConfigError
 from sbp.hints import Q3_4, HintSet, SlbiuConfig, SparsityHint
 from sbp.history import past
@@ -15,6 +16,7 @@ from sbp.predictors import (
     fold_history,
     fold_pcs,
 )
+from tests.conftest import random_trace
 from tests.reference_predictors import Gshare, TageLite, fold
 
 
@@ -245,3 +247,18 @@ def test_tage_longest_match_provides():
         t.update(pc, 0b110001, False)
     assert t.predict(pc, 0b000001) is True
     assert t.predict(pc, 0b110001) is False
+
+
+@pytest.mark.parametrize("entries, base_entries", [(255, 1000), (100, 7)])
+def test_tage_tables_of_any_size_use_every_slot(entries, base_entries):
+    # Reducing the folded index modulo the size reaches every slot; a mask of
+    # entries - 1 reached only 128 of 255 slots (254 = 0b11111110) and 16 of 100
+    trace = random_trace(20_000, n_pcs=64, seed=3)
+    cfg = TageLiteConfig(table_entries=entries, base_entries=base_entries)
+    pcs, ids = trace.pc_ids()
+    tage = predictors.TageLite(cfg, pcs)
+    ghr = past(trace.taken, max(cfg.history_lengths), False)
+    tage.walk(ids, trace.taken, ghr, 0, len(trace), np.arange(len(trace)))
+    used = np.count_nonzero(tage._tag.reshape(cfg.num_tables, entries), axis=1)
+    assert (used > entries // 2 + 1).all(), used
+    assert len(set(tage._pc_base.tolist())) == min(len(pcs), base_entries)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbp.hints import dedup
-from sbp.history import HistoryConfig, TrainingDataset, collect_dataset, collect_datasets
+from sbp.history import HistoryConfig, TrainingDataset, collect_datasets
 from sbp.sparse_modeling import (
     BranchScreen,
     SolverConfig,
@@ -21,23 +21,24 @@ from sbp.sparse_modeling import (
     fit,
     kkt_violation,
     lambda_search,
-    objective,
     predictions,
     screen,
 )
 from sbp.trace_io import PC_B, SyntheticScenario, gen_correlated
 from tests import reference_cd
+from tests.conftest import gather_from
+from tests.reference_cd import objective
 
 
 def make_dataset(x, y, pc=1):
     x = np.asarray(x, dtype=np.int8)
     config = HistoryConfig(gh=x.shape[1], lh=0)
-    return TrainingDataset(pc, x, np.asarray(y, dtype=bool), config)
+    return TrainingDataset(pc, np.asarray(y, dtype=bool), config, gather_from(x))
 
 
 def fresh(ds):
     """The same samples in a new dataset, with nothing built on it yet."""
-    return TrainingDataset(ds.target_pc, ds.x, ds.y, ds.config)
+    return TrainingDataset(ds.target_pc, ds.y, ds.config, gather_from(ds.x))
 
 
 def bernoulli_dataset(m, l, rule, seed=0, pc=1):
@@ -100,7 +101,7 @@ def test_kkt_at_convergence():
 
 
 def test_lambda_search_sparse_recovery(correlated_trace):
-    ds = collect_dataset(correlated_trace, HistoryConfig(gh=10, lh=0), PC_B)
+    ds = collect_datasets(correlated_trace, HistoryConfig(gh=10, lh=0))[PC_B]
     model = lambda_search(ds, SolverConfig())
     assert model.sufficient
     assert model.accuracy >= 0.99
@@ -176,8 +177,9 @@ def test_feature_order_does_not_change_models():
     # fit builds its own column-major copy of the features; the caller's
     # memory layout must not change a single bit of the result
     ds = bernoulli_dataset(1500, 8, lambda row: row[1] == 1 or row[5] == -1, seed=9)
-    ds_f = make_dataset(np.asfortranarray(ds.x), ds.y)
-    assert ds_f.x.flags.f_contiguous and not ds_f.x.flags.c_contiguous
+    rows = np.asfortranarray(ds.x)
+    assert rows.flags.f_contiguous and not rows.flags.c_contiguous
+    ds_f = make_dataset(rows, ds.y)
     cfg = SolverConfig()
     for alpha in (1.0, 0.5):
         assert fit(ds, 0.01, alpha, cfg) == fit(ds_f, 0.01, alpha, cfg)
@@ -240,7 +242,7 @@ def test_twin_columns_give_identical_dot_products(m):
 def test_design_is_built_on_first_use():
     ds = make_dataset(np.ones((4, 3), dtype=np.int8), [True, False, True, True])
     given = set(vars(ds))  # nothing computed yet
-    assert given == {"target_pc", "y", "config", "_x", "_gather"}
+    assert given == {"target_pc", "y", "config", "_gather"}
     assert ds.first == [0, 0, 0]
     assert set(vars(ds)) - given == {"columns", "gram", "first"}
     ds.signs(0.0, np.zeros(3))
@@ -317,7 +319,7 @@ def test_search_and_dedup_equal_reference(request, which, alpha):
         # dedup returns the searched model, or its refit at alpha 0.5 (pure Lasso)
         refit_alpha = alpha if model is searched or alpha < 1.0 else 0.5
         assert_matches_reference(model, expect, ds, refit_alpha)
-        again = fresh(ds)  # rows given, not gathered, and no parts built yet
+        again = fresh(ds)  # rows copied from a matrix, and no parts built yet
         assert dedup(again, lambda_search(again, cfg), cfg) == model
 
 
@@ -335,7 +337,8 @@ class CountingDataset(TrainingDataset):
 
 def counting_dataset(x, y):
     x = np.asarray(x, dtype=np.int8)
-    return CountingDataset(1, x, np.asarray(y, dtype=bool), HistoryConfig(gh=x.shape[1], lh=0))
+    config = HistoryConfig(gh=x.shape[1], lh=0)
+    return CountingDataset(1, np.asarray(y, dtype=bool), config, gather_from(x))
 
 
 GRID = [(1, 1), (2, 100), (7, 3), (64, 16), (1001, 80), (1920, 80), (4096, 33), (6987, 80),
