@@ -25,7 +25,7 @@ from .simulator import (
     train_models,
 )
 from .online_sgd import OnlineConfig, run_online
-from .sparse_modeling import BranchScreen, SolverConfig, SparseModel, dump_model
+from .sparse_modeling import BranchScreen, SolverConfig, SparseModel
 from .trace_io import SyntheticScenario, generate, read_trace, write_trace
 
 
@@ -49,10 +49,15 @@ def _add_q_flag(p):
     p.add_argument("--q", default="3.4", help="quantization: 3.4, 3.12, or fp32")
 
 
+MAX_GSHARE_BITS = 24
+MAX_TAGE_ENTRIES = 65536
+
+
 def _check_flags(args):
     """Rejects, with a ConfigError, the flag values that no command can run
-    with, before any input is read, and parses --q. (argparse would report a
-    ConfigError raised by a `type` function as its own usage error.)"""
+    with, before any input is read, and parses --q and --targets. Only the
+    chosen baseline's size is checked. (argparse would report a ConfigError
+    raised by a `type` function as its own usage error.)"""
     for flag in ("gh", "lh"):
         bits = getattr(args, flag, 0)
         if not 0 <= bits <= U16_MAX:
@@ -64,32 +69,38 @@ def _check_flags(args):
         raise ConfigError(f"--alpha {args.alpha:g}: must be in [0, 1]")
     if hasattr(args, "q"):
         args.q = QuantSpec.parse(args.q)
-
-
-MAX_GSHARE_BITS = 24
-MAX_TAGE_ENTRIES = 65536
+    if hasattr(args, "targets"):
+        text = args.targets
+        try:
+            args.targets = None if text == "all" else {_pc(t, "target", 0) for t in text.split(",")}
+        except ValueError as e:
+            raise ConfigError(f"--targets {text}: {e}; need 'all' or PCs like 0x2000") from None
+    baseline = getattr(args, "baseline", None)
+    if baseline == "gshare" and not 0 <= args.gshare_bits <= MAX_GSHARE_BITS:
+        raise ConfigError(f"--gshare-bits must be 0 to {MAX_GSHARE_BITS}")
+    if baseline == "tage-lite" and not 1 <= args.tage_entries <= MAX_TAGE_ENTRIES:
+        raise ConfigError(f"--tage-entries must be 1 to {MAX_TAGE_ENTRIES}")
 
 
 def _sim_config(args):
-    """The simulator setup of the baseline flags. The chosen baseline's size
-    is checked here, before any input file is read."""
+    """The simulator setup of the baseline flags (`_check_flags` checked them)."""
     baseline = args.baseline.replace("-", "_")
-    config = SimConfig(
-        history=HistoryConfig(args.gh, args.lh),
-        baseline=baseline,
-        gshare_index_bits=args.gshare_bits,
-    )
-    if baseline == "gshare" and not 0 <= args.gshare_bits <= MAX_GSHARE_BITS:
-        raise ConfigError(f"--gshare-bits must be 0 to {MAX_GSHARE_BITS}")
-    if baseline == "tage_lite":
-        if not 1 <= args.tage_entries <= MAX_TAGE_ENTRIES:
-            raise ConfigError(f"--tage-entries must be 1 to {MAX_TAGE_ENTRIES}")
+    config = SimConfig(history=HistoryConfig(args.gh, args.lh), baseline=baseline,
+                       gshare_index_bits=args.gshare_bits)
+    if baseline == "tage_lite":  # the unchosen baseline's size flag is neither checked nor read
         config.tage = TageLiteConfig(table_entries=args.tage_entries)
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, for `dispatch` to report; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sbp",
         description="Sparse branch prediction: offline sparse modeling, hint "
         "selection, and trace-driven MPKI evaluation.",
@@ -116,7 +127,6 @@ def build_parser():
     t.add_argument("--min-occurrences", type=int, default=10_000)
     t.add_argument("--alpha", type=float, default=1.0, help="elastic-net L1 mixing")
     t.add_argument("-o", "--output", required=True, help="models JSON file")
-    t.add_argument("--dump-text", help="directory for per-branch text dumps")
 
     s = sub.add_parser("select", help="score models and build a hint file")
     s.add_argument("--models", required=True, help="models JSON from `sbp train`")
@@ -202,11 +212,6 @@ def _cmd_train(args):
     }
     text = json.dumps({"gh": args.gh, "lh": args.lh, "models": payload}, sort_keys=True, indent=2)
     Path(args.output).write_text(text + "\n")
-    if args.dump_text:
-        dump_dir = Path(args.dump_text)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        for pc, model in models.items():
-            (dump_dir / f"{pc:#x}.model").write_text(dump_model(model))
     return 0
 
 
@@ -218,11 +223,26 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _int(text, what):
+def _int(text, what, base=10):
     try:
-        return int(text)
+        return int(text, base)
     except ValueError:
         raise ValueError(f"{what} {text!r} is not an integer") from None
+
+
+def _pc(text, what, base=10):
+    """The 64-bit PC that `text` names, read by int(text, base). In base 10
+    (model keys, which `sbp train` writes as str(pc)) only ASCII digits count."""
+    pc = _int(text, what, base)
+    if not 0 <= pc < 1 << 64 or base == 10 and not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} {text!r} is not a 64-bit PC")
+    return pc
+
+
+def _count(value, what):
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+    return value
 
 
 def _number(value, what):
@@ -233,8 +253,7 @@ def _number(value, what):
 
 def _model_from_json(pc, m, width):
     """One `sbp train` model; weight indices must address the gh + lh history."""
-    if type(m["m"]) is not int or m["m"] < 0:
-        raise ValueError(f"model {pc}: m {m['m']!r} is not a non-negative integer")
+    count = _count(m["m"], f"model {pc}: m")
     flags = {"sufficient": m["sufficient"], "converged": m.get("converged", True)}
     for key, value in flags.items():  # `converged` is absent from older files
         if type(value) is not bool:
@@ -251,7 +270,7 @@ def _model_from_json(pc, m, width):
         weights=weights,
         lam=_number(m["lambda"], f"model {pc}: lambda"),
         accuracy=_number(m["accuracy"], f"model {pc}: accuracy"),
-        m=m["m"],
+        m=count,
         **flags,
     )
 
@@ -267,10 +286,10 @@ def _read_json(path):
 def _load_models_json(path):
     data = _read_json(path)
     try:
-        gh, lh = data["gh"], data["lh"]
+        gh, lh = _count(data["gh"], "gh"), _count(data["lh"], "lh")
         models = {}
         for key, m in data["models"].items():
-            pc = _int(key, "model key")
+            pc = _pc(key, "model key")
             models[pc] = _model_from_json(pc, m, gh + lh)
     except (AttributeError, KeyError, TypeError) as e:
         raise SbpError(f"{path}: not a models file from `sbp train` ({e!r})") from None
@@ -306,14 +325,8 @@ def _cmd_simulate(args):
 
 
 def _expand_traces(paths):
-    files = []
-    for p in paths:
-        path = Path(p)
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.sbpt")))
-        else:
-            files.append(path)
-    return files
+    """The paths, each directory replaced by its *.sbpt files in sorted order."""
+    return [f for p in map(Path, paths) for f in (sorted(p.glob("*.sbpt")) if p.is_dir() else [p])]
 
 
 def _cmd_pipeline(args):
@@ -358,15 +371,9 @@ def _cmd_pipeline(args):
 
 def _cmd_online(args):
     config = OnlineConfig(eta=args.eta)
-    targets = None
-    if args.targets != "all":
-        try:
-            targets = {int(t, 0) for t in args.targets.split(",")}
-        except ValueError:
-            raise ConfigError(f"--targets {args.targets}: need 'all' or PCs like 0x2000") from None
     history = HistoryConfig(args.gh, args.lh)
     trace = read_trace(args.trace)
-    results = run_online(trace, history, target_pcs=targets, config=config)
+    results = run_online(trace, history, target_pcs=args.targets, config=config)
     payload = {
         str(pc): {
             "occurrences": r.occurrences,
@@ -454,8 +461,8 @@ def dispatch(argv):
     except ConfigError as e:
         print(f"sbp: {e}", file=sys.stderr)
         return 2
-    except (SbpError, OSError, ValueError) as e:
-        print(f"sbp: {e}", file=sys.stderr)
+    except (SbpError, OSError, ValueError, MemoryError) as e:
+        print(f"sbp: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

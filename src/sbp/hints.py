@@ -61,19 +61,20 @@ def _spec_for_width(q):
 
 
 def quantize_value(v, spec):
-    """Round to the nearest multiple of 2^-F, ties away from zero, saturating."""
+    """Round to the nearest float32 (spec None, as the hint file holds it), or
+    to the nearest multiple of 2^-F, ties away from zero, saturating."""
+    if spec is None:
+        try:
+            return struct.unpack("<f", struct.pack("<f", v))[0]
+        except OverflowError:
+            raise ValueError(f"weight {v!r} is beyond the float32 range") from None
     scale = 1 << spec.fraction_bits
     raw = math.floor(abs(v) * scale + 0.5)
-    if v < 0:
-        raw = -raw
-    lo = -(1 << (spec.integer_bits + spec.fraction_bits))
-    hi = (1 << (spec.integer_bits + spec.fraction_bits)) - 1
-    raw = max(lo, min(hi, raw))
-    return raw / scale
+    return max(spec.min_value, min(spec.max_value, (-raw if v < 0 else raw) / scale))
 
 
 def quantize(model, spec):
-    """Quantize bias and weights; weights rounding to zero drop out of the model."""
+    """Quantize bias and weights (spec None: to float32); weights rounding to zero drop out."""
     weights = {}
     for j, v in model.weights.items():
         qv = quantize_value(v, spec)

@@ -171,7 +171,7 @@ def select_hints(trace, models, history, sim_config, qspec, policy, budget_bits)
 
     models: {pc: model}; models of PCs without samples in `trace` are skipped.
     Runs the baseline alone, counting its correct predictions from the end of
-    warmup, quantizes each model (qspec None keeps fp32 weights), scores it
+    warmup, quantizes each model (qspec None: to float32), scores it
     against the baseline on its dataset, dropped once scored, and selects
     under the budget. Returns (hintset, (N, nnz), baseline report).
     """
@@ -180,7 +180,7 @@ def select_hints(trace, models, history, sim_config, qspec, policy, budget_bits)
     candidates = []
     for pc in sorted(models.keys() & datasets.keys()):
         ds = datasets.pop(pc)
-        model = models[pc] if qspec is None else quantize(models[pc], qspec)
+        model = quantize(models[pc], qspec)
         candidates.append(
             ScoredCandidate(
                 model=model,

@@ -339,12 +339,3 @@ def kkt_violation(model, dataset, alpha=1.0):
     v_nz = float(np.max(np.abs(g[nz] + l1 * np.sign(w[nz])))) if nz.any() else 0.0
     v_bias = abs(float(r.mean()))
     return max(v_zero, v_nz, v_bias)
-
-
-def dump_model(model):
-    """Debug text format: header `pc bias lambda accuracy m`, then `index value` lines."""
-    lines = [f"{model.pc} {model.bias!r} {model.lam!r} {model.accuracy!r} {model.m}"]
-    for j in sorted(model.weights):
-        lines.append(f"{j} {model.weights[j]!r}")
-    return "\n".join(lines) + "\n"
-

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbp import cli
 from sbp.cli import build_parser, dispatch
+from sbp.errors import ConfigError
 from sbp.hints import (
     Q3_4,
     HintSet,
@@ -256,10 +258,31 @@ def test_alpha_limits_accepted(alpha):
     assert args.alpha == float(alpha)
 
 
-def test_parser_rejects_unknown_command(capsys):
-    with pytest.raises(SystemExit):
+def test_parser_rejects_unknown_command():
+    with pytest.raises(ConfigError):
         build_parser().parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as e:
+        dispatch([flag])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("sbp " if flag == "--version" else "usage: sbp")
+
+
+def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "train_models", out_of_memory)
     capsys.readouterr()
+    assert run_cli("train", "--trace", trace, "--gh", 4, "--lh", 0,
+                   "-o", tmp_path / "m.json") == 1
+    assert capsys.readouterr().err == "sbp: out of memory\n"
 
 
 def _write_reports(tmp_path, kind, mpkis):
@@ -338,8 +361,17 @@ def test_input_that_is_not_json_names_its_path(tmp_path, capsys, flag, content, 
 
 
 def test_jobs_flag_is_gone():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError):
         build_parser().parse_args(["--jobs", "2", "simulate", "--trace", "t.sbpt"])
+
+
+def test_dump_text_flag_is_gone(tmp_path, capsys):
+    # models.json is the one model format
+    capsys.readouterr()
+    assert run_cli("train", "--trace", "t.sbpt", "-o", tmp_path / "m.json",
+                   "--dump-text", tmp_path / "dump") == 2
+    assert capsys.readouterr().err.startswith("sbp: unrecognized arguments: --dump-text")
+    assert not (tmp_path / "dump").exists()
 
 
 def test_gap_beyond_u32_is_a_runtime_error(tmp_path, capsys):
@@ -423,6 +455,48 @@ def test_select_names_a_model_key_that_is_not_a_pc(tmp_path, capsys):
     assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
                    "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
     assert capsys.readouterr().err == f"sbp: {models}: model key 'zz' is not an integer\n"
+
+
+# `sbp train` writes each key as str(pc): ASCII decimal digits below 2**64
+@pytest.mark.parametrize("key", ["-5", "18446744073709551616", "1_2", " 7"])
+def test_select_names_a_model_key_that_no_pc_can_have(tmp_path, capsys, key):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    models.write_text(json.dumps({"gh": 4, "lh": 0, "models": {key: _model()}}))
+    capsys.readouterr()
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
+    assert capsys.readouterr().err == f"sbp: {models}: model key {key!r} is not a 64-bit PC\n"
+    assert not (tmp_path / "h.sbph").exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"gh": 4.0}, "gh 4.0 is not a non-negative integer"),
+    ({"gh": True}, "gh True is not a non-negative integer"),
+    ({"gh": -4}, "gh -4 is not a non-negative integer"),
+    ({"lh": "0"}, "lh '0' is not a non-negative integer"),
+    ({"lh": None}, "lh None is not a non-negative integer"),
+])
+def test_select_rejects_bad_history_lengths_in_models(tmp_path, capsys, header, message):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    models.write_text(json.dumps({"gh": 4, "lh": 0, **header, "models": {"12288": _model()}}))
+    capsys.readouterr()
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
+    assert capsys.readouterr().err == f"sbp: {models}: {message}\n"
+    assert not (tmp_path / "h.sbph").exists()
+
+
+def test_online_targets_take_hex_and_spaces(tmp_path):
+    trace = tmp_path / "corr.sbpt"
+    assert run_cli("gen", "--kind", "correlated", "--len", 600, "-o", trace) == 0
+    out = tmp_path / "online.json"
+    assert run_cli("online", "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--targets", "0x1000, 0x2000", "-o", out) == 0
+    assert sorted(json.loads(out.read_text())) == [str(0x1000), str(0x2000)]
 
 
 def test_select_accepts_integer_model_values(tmp_path):
@@ -525,12 +599,23 @@ def test_simulate_rejects_hint_file_of_another_lh(tmp_path, capsys):
     (["simulate", "--trace", "missing.sbpt", "--gh", -1], "--gh -1"),
     (["simulate", "--trace", "missing.sbpt", "--gh", 0, "--lh", 0], "gh 0, lh 0"),
     (["online", "--trace", "missing.sbpt", "--targets", "zz"], "--targets zz"),
+    (["online", "--trace", "missing.sbpt", "--targets", "-5"],
+     "--targets -5: target '-5' is not a 64-bit PC"),
+    (["online", "--trace", "missing.sbpt", "--targets", str(2**64)],
+     f"--targets {2**64}: target '{2**64}' is not a 64-bit PC"),
+    # argparse's usage errors leave through dispatch like every other error
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    (["simulate"], "the following arguments are required: --trace"),
+    (["select", "--models", "m.json", "--trace", "missing.sbpt", "--budget-kb", "-inf"],
+     "argument --budget-kb: expected one argument"),
+    (["online", "--trace", "missing.sbpt", "--eta", "x"], "argument --eta: invalid float value"),
 ])
 def test_configuration_errors_exit_2(tmp_path, capsys, argv, message):
     # the output is never written and the trace never read: the check comes first
     out = tmp_path / "t.sbpt"
     capsys.readouterr()
-    assert run_cli(*argv, *(["-o", out] if argv[0] == "gen" else [])) == 2
+    assert run_cli(*argv, *(["-o", out] if argv[:1] == ["gen"] else [])) == 2
     assert capsys.readouterr().err.startswith(f"sbp: {message}")
     assert not out.exists()
 
@@ -606,8 +691,9 @@ def test_simulate_survives_mutated_hint_files(fuzz_inputs, data):
 
 
 # Out-of-range and non-finite values of the range-checked flags, per command.
-# Each is passed as --flag=value, so that argparse reads "-inf" as a value.
-# No value is a size that would allocate much memory if it were accepted.
+# Each is passed as --flag=value or as --flag value; argparse reads "-inf" in
+# the second form as an option, which is a usage error. No value is a size
+# that would allocate much memory if it were accepted.
 NON_FINITE = ["nan", "inf", "-inf", "-1", "-0.5"]
 HISTORY_BAD = {"--gh": ["-1", "65536"], "--lh": ["-3", "70000"]}
 FUZZ_FLAGS = {
@@ -636,8 +722,9 @@ def fuzz_trace(tmp_path_factory):
 @given(data=st.data())
 def test_commands_survive_mutated_traces_and_bad_flags(fuzz_trace, data):
     """`simulate`, `online`, `train` and `select` on a truncated, bit-flipped
-    or extended trace, with at most one flag out of range, end in exit 0, or
-    in 1 or 2 with an `sbp:` message: never in an exception."""
+    or extended trace, with at most one flag out of range, an unknown command
+    or a missing --trace, end in exit 0, or in 1 or 2 with an `sbp:` message:
+    never in an exception."""
     original, models = fuzz_trace[0].read_bytes(), fuzz_trace[1]
     command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)), label="command")
     size = data.draw(st.just(len(original)) | st.integers(0, len(original)), label="size")
@@ -660,10 +747,18 @@ def test_commands_survive_mutated_traces_and_bad_flags(fuzz_trace, data):
         elif command == "select":
             argv += ["--models", models, "--budget-kb", 1]
         if flag is not None:
-            argv.append(f"{flag}={data.draw(st.sampled_from(FUZZ_FLAGS[command][flag]))}")
+            value = data.draw(st.sampled_from(FUZZ_FLAGS[command][flag]), label="value")
+            joined = data.draw(st.booleans(), label="joined")
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        usage = data.draw(st.none() | st.sampled_from(["unknown command", "no --trace"]),
+                          label="usage error")
+        if usage == "unknown command":
+            argv[0] = "frobnicate"
+        elif usage == "no --trace":
+            del argv[1:3]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = run_cli(*argv)
     assert rc in (0, 1, 2)
     assert rc == 0 or err.getvalue().startswith("sbp: ")
-    assert flag is None or rc == 2
+    assert flag is None and usage is None or rc == 2

@@ -64,6 +64,15 @@ def test_quantize_value_examples():
     assert quantize_value(-0.03125, Q3_4) == -0.0625
 
 
+def test_quantize_value_fp32_is_the_nearest_float32():
+    # fp32 hints hold float32 weights, so candidates are scored on those
+    rng = random.Random(3)
+    for v in [0.1, -3.0, 1e-50, 3.4e38] + [rng.uniform(-10, 10) for _ in range(1000)]:
+        assert quantize_value(v, None) == float(np.float32(v))
+    with pytest.raises(ValueError, match="beyond the float32 range"):
+        quantize_value(1e39, None)
+
+
 def test_quantize_error_bound():
     rng = random.Random(1)
     for spec in (Q3_4, Q3_12):

@@ -14,7 +14,9 @@ from sbp.hints import (
     HintSet,
     SlbiuConfig,
     SparsityHint,
+    decode_hintset,
     empty_hintset,
+    encode_hintset,
 )
 from sbp.predictors import TageLiteConfig
 from sbp.simulator import (
@@ -137,6 +139,22 @@ def test_pipeline_improves_correlated_branch():
     coup_b = corr.coupled_report.per_branch[PC_B].mispredictions
     assert coup_b < base_b / 10
     assert corr.coupled_report.mpki < corr.baseline_report.mpki
+
+
+def test_fp32_pipeline_hints_are_the_hint_file(tmp_path):
+    # fp32 candidates are scored and simulated on the float32 weights that the
+    # hint file holds, so the file reproduces the hint set and the coupled run
+    trace = gen_correlated(SyntheticScenario(kind="correlated", length=6_000, seed=1,
+                                             noise_branches=4))
+    hc = HistoryConfig(64, 16)
+    [res] = run_pipeline([trace], budget_bits=2 * 8192, policy="relative", qspec=None,
+                         history=hc, screen_cfg=BranchScreen(min_occurrences=200))
+    path = tmp_path / "h.sbph"
+    encode_hintset(res.hintset, path)
+    back = decode_hintset(path)
+    assert len(res.hintset.hints) == 5
+    assert back == res.hintset
+    assert run(trace, SimConfig(history=hc), hintset=back) == res.coupled_report
 
 
 def test_select_hints_skips_models_of_absent_pcs(correlated_trace):

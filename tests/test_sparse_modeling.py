@@ -14,9 +14,7 @@ from sbp.history import HistoryConfig, TrainingDataset, collect_datasets
 from sbp.sparse_modeling import (
     BranchScreen,
     SolverConfig,
-    SparseModel,
     correct_count,
-    dump_model,
     eval_accuracy,
     fit,
     kkt_violation,
@@ -136,30 +134,6 @@ def test_screen():
     assert not screen(rare, cfg)
     biased = bernoulli_dataset(200, 3, lambda row: True, seed=7)
     assert not screen(biased, cfg)
-
-
-def parse_model(text):
-    """Reads the text that dump_model writes."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    pc, bias, lam, acc, m = lines[0].split()
-    weights = {}
-    for ln in lines[1:]:
-        j, v = ln.split()
-        weights[int(j)] = float(v)
-    return SparseModel(
-        pc=int(pc), bias=float(bias), weights=weights, lam=float(lam),
-        accuracy=float(acc), m=int(m),
-    )
-
-
-def test_dump_parse_round_trip():
-    ds = bernoulli_dataset(300, 6, lambda row: row[2] == 1, seed=8)
-    model = fit(ds, lam=0.01, alpha=1.0, config=SolverConfig())
-    back = parse_model(dump_model(model))
-    assert back.pc == model.pc
-    assert back.bias == model.bias
-    assert back.weights == model.weights
-    assert back.lam == model.lam
 
 
 def test_solver_config_validation():
