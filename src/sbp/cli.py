@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, SbpError
 from .history import HistoryConfig
-from .hints import U16_MAX, QuantSpec, decode_hintset, encode_hintset
+from .hints import U16_MAX, QuantSpec, decode_hintset, encode_hintset, quantize
 from .predictors import TageLiteConfig
 from .simulator import (
     SimConfig,
@@ -251,8 +251,9 @@ def _number(value, what):
     return value
 
 
-def _model_from_json(pc, m, width):
-    """One `sbp train` model; weight indices must address the gh + lh history."""
+def _model_from_json(pc, m, width, qspec):
+    """One `sbp train` model; weight indices must address the gh + lh history,
+    and the values must fit the weight format (fp32: the float32 range)."""
     count = _count(m["m"], f"model {pc}: m")
     flags = {"sufficient": m["sufficient"], "converged": m.get("converged", True)}
     for key, value in flags.items():  # `converged` is absent from older files
@@ -264,7 +265,7 @@ def _model_from_json(pc, m, width):
         if not 0 <= j < width:
             raise ValueError(f"model {pc}: weight index {j} is outside [0, {width})")
         weights[j] = _number(w, f"model {pc}: weight {j}")
-    return SparseModel(
+    model = SparseModel(
         pc=pc,
         bias=_number(m["bias"], f"model {pc}: bias"),
         weights=weights,
@@ -273,6 +274,8 @@ def _model_from_json(pc, m, width):
         m=count,
         **flags,
     )
+    quantize(model, qspec)  # select_hints quantizes again; here a failure names the file
+    return model
 
 
 def _read_json(path):
@@ -283,14 +286,14 @@ def _read_json(path):
         raise SbpError(f"{path}: not a JSON file ({e})") from None
 
 
-def _load_models_json(path):
+def _load_models_json(path, qspec):
     data = _read_json(path)
     try:
         gh, lh = _count(data["gh"], "gh"), _count(data["lh"], "lh")
         models = {}
         for key, m in data["models"].items():
             pc = _pc(key, "model key")
-            models[pc] = _model_from_json(pc, m, gh + lh)
+            models[pc] = _model_from_json(pc, m, gh + lh, qspec)
     except (AttributeError, KeyError, TypeError) as e:
         raise SbpError(f"{path}: not a models file from `sbp train` ({e!r})") from None
     except ValueError as e:
@@ -300,7 +303,7 @@ def _load_models_json(path):
 
 def _cmd_select(args):
     sim_config = _sim_config(args)
-    gh, lh, models = _load_models_json(args.models)
+    gh, lh, models = _load_models_json(args.models, args.q)
     if (gh, lh) != (args.gh, args.lh):
         raise ConfigError("models file history lengths disagree with --gh/--lh")
     trace = read_trace(args.trace)

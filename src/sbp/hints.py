@@ -60,14 +60,15 @@ def _spec_for_width(q):
     return _BY_WIDTH[q]
 
 
-def quantize_value(v, spec):
+def quantize_value(v, spec, what="value"):
     """Round to the nearest float32 (spec None, as the hint file holds it), or
-    to the nearest multiple of 2^-F, ties away from zero, saturating."""
+    to the nearest multiple of 2^-F, ties away from zero, saturating. A value
+    beyond the float32 range is a ValueError naming it as `what`."""
     if spec is None:
         try:
             return struct.unpack("<f", struct.pack("<f", v))[0]
         except OverflowError:
-            raise ValueError(f"weight {v!r} is beyond the float32 range") from None
+            raise ValueError(f"{what} {v!r} is beyond the float32 range") from None
     scale = 1 << spec.fraction_bits
     raw = math.floor(abs(v) * scale + 0.5)
     return max(spec.min_value, min(spec.max_value, (-raw if v < 0 else raw) / scale))
@@ -77,10 +78,11 @@ def quantize(model, spec):
     """Quantize bias and weights (spec None: to float32); weights rounding to zero drop out."""
     weights = {}
     for j, v in model.weights.items():
-        qv = quantize_value(v, spec)
+        qv = quantize_value(v, spec, f"model {model.pc}: weight {j}")
         if qv != 0.0:
             weights[j] = qv
-    return replace(model, bias=quantize_value(model.bias, spec), weights=weights)
+    bias = quantize_value(model.bias, spec, f"model {model.pc}: bias")
+    return replace(model, bias=bias, weights=weights)
 
 
 def dedup(dataset, lasso_model, config):

@@ -9,15 +9,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .history import HistoryConfig, collect_datasets, past
-from .hints import FP32_WIDTH, PC_BITS, ScoredCandidate, dedup, quantize, select
+from .hints import FP32_WIDTH, PC_BITS, HintSet, ScoredCandidate, SlbiuConfig, dedup
+from .hints import hint_from_model, quantize, select
 from .predictors import Gshare, Slbiu, TageLite, TageLiteConfig
-from .sparse_modeling import (
-    BranchScreen,
-    SolverConfig,
-    correct_count,
-    lambda_search,
-    screen,
-)
+from .sparse_modeling import BranchScreen, SolverConfig, lambda_search, screen
 
 DEFAULT_SNAPSHOT_INTERVAL = 100_000
 BLOCK = 4096  # records per block of history columns
@@ -48,11 +43,12 @@ class PerBranchStats:
     mispredictions: int = 0
     slbiu_hits: int = 0
     correct: int = 0  # baseline-window correct count (see run's correct_from)
+    slbiu_correct: int = 0  # the same window's correct SLBIU answers
     allocations: int = 0
     unique_entries_avg: float = 0.0
 
-    def to_dict(self):
-        return asdict(self)
+    def to_dict(self):  # slbiu_correct, which only scoring reads, stays out of reports
+        return {k: v for k, v in asdict(self).items() if k != "slbiu_correct"}
 
 
 @dataclass
@@ -86,7 +82,8 @@ def run(trace, config, hintset=None, correct_from=0):
     shared GHR is always updated. No warmup exclusion: every record counts.
 
     correct_from: record index from which per-branch correct-prediction counts
-    accumulate (used by the pipeline to measure the primary predictor).
+    accumulate, the baseline's in `correct` and the SLBIU's in `slbiu_correct`
+    (select_hints scores candidates with both).
 
     Every SLBIU answer is a function of the trace, so the hit mask is known
     up front and the baseline walks only the records the SLBIU misses, in
@@ -108,9 +105,9 @@ def run(trace, config, hintset=None, correct_from=0):
         slbiu = Slbiu(hintset.config)
         slbiu.load(hintset)
         hit, pred = slbiu.directions(ghr, taken, ids, pcs)
-    # occurrences, mispredictions, slbiu_hits and correct per PC, summed over
-    # blocks so that no temporary spans the trace
-    counts = np.zeros((4, len(pcs)), dtype=np.int64)
+    # occurrences, mispredictions, slbiu_hits, correct and slbiu_correct per
+    # PC, summed over blocks so that no temporary spans the trace
+    counts = np.zeros((5, len(pcs)), dtype=np.int64)
     stops = sorted({*range(BLOCK, n, BLOCK), *range(interval, n, interval), n} - {0})
     start = 0
     for stop in stops:
@@ -121,10 +118,10 @@ def run(trace, config, hintset=None, correct_from=0):
         if stop % interval == 0:
             baseline.snapshot()
         wrong = pred[start:stop] != taken[start:stop]
-        correct = ~(block_hit | wrong)
-        correct[:max(correct_from - start, 0)] = False
+        right = ~wrong
+        right[:max(correct_from - start, 0)] = False
         k = ids[start:stop]
-        for row, mask in enumerate((None, wrong, block_hit, correct)):
+        for row, mask in enumerate((None, wrong, block_hit, right & ~block_hit, right & block_hit)):
             counts[row] += np.bincount(k if mask is None else k[mask], minlength=len(pcs))
         start = stop
     columns = zip(  # in PerBranchStats field order
@@ -169,31 +166,31 @@ def train_models(trace, history, screen_cfg, solver):
 def select_hints(trace, models, history, sim_config, qspec, policy, budget_bits):
     """Score trained models against the primary predictor and select hints.
 
-    models: {pc: model}; models of PCs without samples in `trace` are skipped.
-    Runs the baseline alone, counting its correct predictions from the end of
-    warmup, quantizes each model (qspec None: to float32), scores it
-    against the baseline on its dataset, dropped once scored, and selects
-    under the budget. Returns (hintset, (N, nnz), baseline report).
+    models: {pc: model}; models of PCs absent from `trace` are skipped. Each
+    model is quantized (qspec None: to float32), and all of them are loaded
+    into one simulated SLBIU: a candidate scores its correct SLBIU answers
+    against the baseline's correct predictions in a run without hints, both
+    counted from the end of warmup. Returns (hintset, (N, nnz), baseline report).
     """
-    base_report = run(trace, sim_config, correct_from=history.gh + history.lh)
-    datasets = collect_datasets(trace, history)
+    warmup = history.gh + history.lh
+    base_report = run(trace, sim_config, correct_from=warmup)
+    q = FP32_WIDTH if qspec is None else qspec.q
+    pcs = sorted(models.keys() & base_report.per_branch.keys())
+    quantized = [quantize(models[pc], qspec) for pc in pcs]
     candidates = []
-    for pc in sorted(models.keys() & datasets.keys()):
-        ds = datasets.pop(pc)
-        model = quantize(models[pc], qspec)
-        candidates.append(
-            ScoredCandidate(
-                model=model,
-                offline_correct=correct_count(model, ds),
-                primary_correct=base_report.per_branch[pc].correct,
-            )
-        )
+    if quantized:
+        nnz = max(model.nnz for model in quantized)
+        config = SlbiuConfig(lh=history.lh, gh=history.gh, n=len(quantized), nnz=nnz, q=q)
+        unit = HintSet(trace.phase_id, config, [hint_from_model(m, qspec) for m in quantized])
+        scored = run(trace, sim_config, unit, correct_from=warmup).per_branch
+        candidates = [ScoredCandidate(m, scored[m.pc].slbiu_correct,
+                                      base_report.per_branch[m.pc].correct) for m in quantized]
     hintset, chosen = select(
         candidates,
         policy,
         budget_bits,
         p=PC_BITS,
-        q=FP32_WIDTH if qspec is None else qspec.q,
+        q=q,
         lh=history.lh,
         gh=history.gh,
         phase_id=trace.phase_id,

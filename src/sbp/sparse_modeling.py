@@ -9,7 +9,7 @@ iterations. `tests/reference_cd.py` keeps the plain form of the solver with
 that check on every iteration; the tests hold `fit` to its models within
 1e-12, with the same support, flags and predictions.
 
-A branch is one `TrainingDataset` from collection to scoring. What depends
+A branch is one `TrainingDataset` from collection to its last fit. What depends
 on its data alone is computed once, from the one column-major float64 copy
 of its features, and kept while the dataset lives, so every `lambda_search`
 probe and the `dedup` refit read the same parts; the first outer iteration
@@ -127,18 +127,13 @@ class TrainingDataset:
     def signs(self, bias, w):
         """`bias + x @ w >= 0` for every row, as numpy's product on the int8
         features gives it. The sum over `columns` adds in another order, so
-        its signs are taken only where they cannot differ: (a) bias and w on
-        a 2^-30 grid with |bias| + sum|w| < 2^22 (every fixed-point model),
-        where every partial sum is exact in any order; (b) no sum within
-        4(l+2) eps (|bias| + sum|w|) of zero, which bounds the rounding error
-        of either order (gamma_n; Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., 3.1). Otherwise (c) the int8 product decides."""
+        its signs are taken only if no sum is within 4(l+2) eps (|bias| +
+        sum|w|) of zero, which bounds the rounding error of either order
+        (gamma_n; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+        ed., 3.1). Otherwise the int8 product decides."""
         s = self.columns @ w
         s += bias
         size = abs(bias) + float(np.abs(w).sum())
-        grid = np.append(w, bias) * 2.0**30
-        if size < 2.0**22 and np.array_equal(grid, np.floor(grid)):
-            return s >= 0
         if not (np.abs(s) <= 4 * (len(w) + 2) * np.finfo(np.float64).eps * size).any():
             return s >= 0
         return bias + self.x @ w >= 0
@@ -301,16 +296,14 @@ def predictions(model, dataset):
     return dataset.signs(model.bias, model.weight_vector(dataset.config.l))
 
 
-def eval_accuracy(model, dataset):
-    if dataset.m == 0:
-        return 0.0
-    return float(np.mean(predictions(model, dataset) == dataset.y))
-
-
 def correct_count(model, dataset):
     if dataset.m == 0:
         return 0
     return int(np.sum(predictions(model, dataset) == dataset.y))
+
+
+def eval_accuracy(model, dataset):
+    return correct_count(model, dataset) / dataset.m if dataset.m else 0.0
 
 
 def screen(dataset, screen_cfg):

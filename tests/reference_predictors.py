@@ -241,8 +241,11 @@ def run(trace, config, hintset=None, correct_from=0):
         if direction != taken:
             mispredictions += 1
             stats.mispredictions += 1
-        if i >= correct_from and not suppress and direction == taken:
-            stats.correct += 1
+        if i >= correct_from and direction == taken:
+            if suppress:
+                stats.slbiu_correct += 1
+            else:
+                stats.correct += 1
         baseline.update(pc, ghr, taken, suppress=suppress)
         if slbiu is not None:
             slbiu.update(pc, taken)

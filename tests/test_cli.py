@@ -433,15 +433,18 @@ def _model(**changes):
     (_model(sufficient=1), "model 12288: sufficient 1 is not true or false"),
     (_model(converged="no"), "model 12288: converged 'no' is not true or false"),
     (_model(converged=None), "model 12288: converged None is not true or false"),
+    (_model(weights={"0": 1e39}), "model 12288: weight 0 1e+39 is beyond the float32 range"),
+    (_model(bias=-1e39), "model 12288: bias -1e+39 is beyond the float32 range"),
 ])
 def test_select_rejects_bad_model_values(tmp_path, capsys, model, message):
+    # in fp32, where values beyond the float32 range are bad too; Q3.4 saturates them
     trace = tmp_path / "loop.sbpt"
     assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
     models = tmp_path / "m.json"
     models.write_text(json.dumps({"gh": 4, "lh": 0, "models": {"12288": model}}))
     capsys.readouterr()
     assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
-                   "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
+                   "--q", "fp32", "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
     assert capsys.readouterr().err == f"sbp: {models}: {message}\n"
     assert not (tmp_path / "h.sbph").exists()
 

@@ -17,6 +17,8 @@ from sbp.hints import (
     decode_hintset,
     empty_hintset,
     encode_hintset,
+    hint_from_model,
+    quantize,
 )
 from sbp.predictors import TageLiteConfig
 from sbp.simulator import (
@@ -28,7 +30,7 @@ from sbp.simulator import (
     select_hints,
     train_models,
 )
-from sbp.sparse_modeling import BranchScreen, SolverConfig
+from sbp.sparse_modeling import BranchScreen, SolverConfig, SparseModel, correct_count
 from sbp.trace_io import (
     PC_B,
     SyntheticScenario,
@@ -38,6 +40,15 @@ from sbp.trace_io import (
 )
 from tests.conftest import random_trace
 from tests.reference_predictors import run as reference_run
+
+
+def assert_runs_agree(*case):
+    """run equals the per-record oracle: the report, and the slbiu_correct
+    counts that the report leaves out."""
+    got, want = run(*case), reference_run(*case)
+    assert got.to_json() == want.to_json()
+    assert [s.slbiu_correct for s in got.per_branch.values()] == [
+        s.slbiu_correct for s in want.per_branch.values()]
 
 
 def sim_config(gh=10, lh=4, **kw):
@@ -175,6 +186,22 @@ def test_select_hints_skips_models_of_absent_pcs(correlated_trace):
         assert got[:2] == want[:2]
 
 
+def test_fp32_hints_score_with_the_slbiu_sum():
+    # 0x20 is always taken, after two not-taken records. The trainer's sign
+    # rule sums (-1 - 2^-60) + 1 = 0 and predicts taken; the SLBIU adds in
+    # history-index order, (1 - 1) - 2^-60 < 0, and answers not taken every
+    # time. Scored with the trainer's rule the hint was chosen, and the
+    # coupled run mispredicted 0x20 on all 3000 records
+    trace = Trace([0x10, 0x10, 0x20] * 3000, [False, False, True] * 3000)
+    history = HistoryConfig(2, 0)
+    model = SparseModel(pc=0x20, bias=1.0, weights={0: 1.0, 1: 2.0**-60}, lam=0.01,
+                        accuracy=1.0, m=3000)
+    config = SimConfig(history=history)
+    hs, chosen, base = select_hints(trace, {0x20: model}, history, config, None, "relative", 8192)
+    assert (hs.hints, chosen) == ([], (0, 0))
+    assert base.per_branch[0x20].correct > 2990
+
+
 def test_training_and_scoring_hold_one_float64_copy():
     # each branch's dataset keeps its float64 copy of the features while it
     # lives: training and scoring must drop it once the branch is done, so
@@ -294,6 +321,39 @@ def sim_cases(draw, baseline):
     return trace, config, hintset, correct_from
 
 
+@st.composite
+def fixed_point_cases(draw):
+    """A trace, a history and a model for each of its PCs, in Q3.4 or Q3.12."""
+    trace = draw(sim_traces())
+    gh = draw(st.integers(0, 12))
+    history = HistoryConfig(gh, draw(st.integers(0 if gh else 1, 6)))
+    spec = draw(st.sampled_from([Q3_4, Q3_12]))
+    value = st.floats(-9.0, 9.0, allow_nan=False)
+    models = {}
+    for pc in sorted(set(trace.pc.tolist())):
+        idxs = draw(st.lists(st.integers(0, history.l - 1), max_size=5, unique=True))
+        models[pc] = SparseModel(pc=pc, bias=draw(value), weights={j: draw(value) for j in idxs},
+                                 lam=0.01, accuracy=1.0, m=1)
+    return trace, history, spec, models
+
+
+@settings(max_examples=200, deadline=None)
+@given(fixed_point_cases())
+def test_slbiu_correct_counts_equal_the_training_sign_rule(case):
+    # for fixed-point models every partial sum is exact, so the SLBIU's count
+    # in the scoring window equals the trainer's sign rule on the samples
+    trace, history, spec, models = case
+    quantized = [quantize(model, spec) for model in models.values()]
+    config = SlbiuConfig(lh=history.lh, gh=history.gh, n=len(quantized),
+                         nnz=max((m.nnz for m in quantized), default=0), q=spec.q)
+    hs = HintSet("prop", config, [hint_from_model(m, spec) for m in quantized])
+    report = run(trace, SimConfig(history=history), hs, correct_from=history.l)
+    datasets = collect_datasets(trace, history)
+    for model in quantized:
+        want = correct_count(model, datasets[model.pc]) if model.pc in datasets else 0
+        assert report.per_branch[model.pc].slbiu_correct == want
+
+
 def test_snapshot_on_all_hit_block():
     # the hint answers records 3-5 whole, and the snapshot after them still
     # counts: pc 1 allocates before and after it
@@ -306,21 +366,20 @@ def test_snapshot_on_all_hit_block():
         snapshot_interval=3,
     )
     hs = HintSet("", SlbiuConfig(lh=0, gh=2, n=1, nnz=0, q=8), [SparsityHint(2, 1.0, [], Q3_4)])
-    report = run(trace, config, hs)
-    assert report.to_json() == reference_run(trace, config, hs).to_json()
-    assert report.per_branch[2].slbiu_hits == 3
+    assert_runs_agree(trace, config, hs)
+    assert run(trace, config, hs).per_branch[2].slbiu_hits == 3
 
 
 @settings(max_examples=250, deadline=None)
 @given(sim_cases("gshare"))
 def test_gshare_run_equals_per_record_reference(case):
-    assert run(*case).to_json() == reference_run(*case).to_json()
+    assert_runs_agree(*case)
 
 
 @settings(max_examples=250, deadline=None)
 @given(sim_cases("tage_lite"))
 def test_tage_lite_run_equals_per_record_reference(case):
-    assert run(*case).to_json() == reference_run(*case).to_json()
+    assert_runs_agree(*case)
 
 
 @pytest.mark.parametrize("baseline", ["gshare", "tage_lite"])
@@ -340,5 +399,4 @@ def test_correlated_run_equals_per_record_reference(baseline, qspec):
     q = FP32_WIDTH if qspec is None else qspec.q
     hs = HintSet("c", SlbiuConfig(lh=6, gh=40, n=2, nnz=2, q=q), hints)
     for hintset in (None, hs):
-        assert run(trace, config, hintset, 100).to_json() == reference_run(
-            trace, config, hintset, 100).to_json()
+        assert_runs_agree(trace, config, hintset, 100)

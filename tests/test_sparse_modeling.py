@@ -340,8 +340,8 @@ def test_design_scores_are_the_bits_of_int8_products(m, l):
 @pytest.mark.parametrize("m, l", GRID)
 @pytest.mark.parametrize("fraction_bits", [4, 12])
 def test_fixed_point_signs_with_exact_zero_sums(m, l, fraction_bits):
-    # Q3.4 and Q3.12 models sum to exactly zero on many rows; on the 2^-30
-    # grid every order gives the exact sum, so no row needs the int8 product
+    # Q3.4 and Q3.12 models sum to exactly zero on many rows, where the
+    # int8 product decides; every partial sum is exact, so it agrees anyway
     rng = np.random.default_rng(m * 7 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
     ds = counting_dataset(x, rng.random(m) < 0.5)
@@ -351,7 +351,6 @@ def test_fixed_point_signs_with_exact_zero_sums(m, l, fraction_bits):
                     (-8.0, np.where(np.arange(l) % 2 == 0, 7.9375, -7.9375))]:
         expect = bias + x @ w >= 0
         assert np.array_equal(ds.signs(bias, w), expect)
-    assert ds.reads == 0
 
 
 @pytest.mark.parametrize("m, l", [(m, l) for m, l in GRID if l >= 2])

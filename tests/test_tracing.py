@@ -16,13 +16,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # argv: the `sbp` arguments; prints the tracer's counters as JSON
 TRACED_SBP = """
-import json, sys
+import collections, json, sys
 import tracing
 from sbp import cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
 rc = cli.dispatch(sys.argv[1:])
-print(json.dumps({"rc": rc, "counts": tracer.counts}))
+calls = collections.Counter(span[tracing.NAME] for span in tracer.spans)
+print(json.dumps({"rc": rc, "counts": tracer.counts, "calls": calls}))
 """
 
 
@@ -43,6 +44,8 @@ def test_traced_pipeline_counts_fits_dedups_models_and_datasets(tmp_path):
     counts = result["counts"]
     for key in ("fit_calls", "dedup_calls", "models", "datasets"):
         assert counts.get(key, 0) > 0, key
+    # training and scoring share one collection of the trace's datasets
+    assert result["calls"]["collect_datasets"] == 1
 
 
 def test_hooks_find_their_arguments_where_they_read_them():
