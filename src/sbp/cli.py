@@ -319,9 +319,12 @@ def _cmd_select(args):
 def _cmd_simulate(args):
     sim_config = _sim_config(args)
     hintset = decode_hintset(args.hints) if args.hints else None
-    if hintset is not None and hintset.config.lh != args.lh:
-        lh = hintset.config.lh
-        raise ConfigError(f"{args.hints}: hint file lh {lh} disagrees with --lh {args.lh}")
+    if hintset is not None:
+        lh, gh = hintset.config.lh, hintset.config.gh
+        if lh != args.lh:
+            raise ConfigError(f"{args.hints}: hint file lh {lh} disagrees with --lh {args.lh}")
+        if gh > args.gh:
+            raise ConfigError(f"{args.hints}: hint file gh {gh} exceeds --gh {args.gh}")
     trace = read_trace(args.trace)
     _emit(run(trace, sim_config, hintset=hintset).to_json(), args.output)
     return 0

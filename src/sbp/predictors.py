@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError
 from .history import past
 
+DIRECTION_CHUNK_BYTES = 1 << 17  # float64 window rows gathered at a time, bounding the temporaries
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -77,12 +79,13 @@ class Slbiu:
         self.entries = {h.pc: [self._datapath(h), 0] for h in hintset.hints}
 
     def _datapath(self, hint):
-        """(bias, GHR terms, LHR terms) as the adder tree sums them.
+        """(bias, GHR terms, LHR terms, fixed) as the adder tree sums them.
 
         Fixed-point hints become integers in units of 2^-F (exact: their values
         are fixed-point multiples), and their adder-tree range is checked here,
         once, over every possible history. fp32 hints sum as floats. Terms are
-        (bit position in the GHR or LHR, weight), in history-index order.
+        (bit position in the GHR or LHR, weight), in history-index order;
+        fixed is False for fp32 hints.
         """
         qspec = hint.qspec
         if qspec is None:
@@ -101,14 +104,14 @@ class Slbiu:
         gh = self.config.gh
         ghr_terms = tuple((j, wv) for j, wv in terms if j < gh)
         lhr_terms = tuple((j - gh, wv) for j, wv in terms if j >= gh)
-        return bias, ghr_terms, lhr_terms
+        return bias, ghr_terms, lhr_terms, qspec is not None
 
     def predict(self, pc, ghr):
         """One probe with a given GHR and the entry's stored LHR."""
         entry = self.entries.get(pc)
         if entry is None:
             return MISS
-        (total, ghr_terms, lhr_terms), lhr = entry
+        (total, ghr_terms, lhr_terms, _), lhr = entry
         # sign flip for not-taken bits
         for j, wv in ghr_terms:
             total += wv if (ghr >> j) & 1 else -wv
@@ -122,8 +125,17 @@ class Slbiu:
         ghr is the trace's GHR window (at least this unit's gh wide), taken its
         outcome column, ids each record's index into the distinct `pcs`. A
         resident PC's LHR starts at zero and shifts in each of its own
-        outcomes after its probe. The sums add the same terms in the same
-        order as `predict`: fixed-point hints as int64, fp32 hints as float64.
+        outcomes after its probe.
+
+        Each PC's GHR and LHR window rows, up to its hint's last term and
+        oldest bit first, are gathered as 0/1 float64 rows, at most
+        DIRECTION_CHUNK_BYTES at a time. A term adds w when its bit b is 1 and
+        -w when it is 0, that is w*(2b - 1), so a fixed-point sum is
+        (bias - sum(w)) + rows @ 2w: integers whose partial sums stay below
+        2^sum_bits by the adder-tree check of _datapath (at most 2^32 for the
+        formats a hint file holds), exact in float64 in any order. An fp32 sum
+        depends on the order, so it adds the terms one by one in the order of
+        `predict`.
         """
         hit = np.zeros(len(taken), dtype=bool)
         direction = np.zeros(len(taken), dtype=bool)
@@ -131,16 +143,34 @@ class Slbiu:
             entry = self.entries.get(pc)
             if entry is None:
                 continue
-            (bias, ghr_terms, lhr_terms), _ = entry
+            (bias, ghr_terms, lhr_terms, fixed), _ = entry
+            gw = 1 + max((j for j, _ in ghr_terms), default=-1)
+            lw = 1 + max((j for j, _ in lhr_terms), default=-1)
+            # (column of the gathered row, weight), in term order
+            terms = [(gw - 1 - j, wv) for j, wv in ghr_terms]
+            terms += [(gw + lw - 1 - j, wv) for j, wv in lhr_terms]
+            twice = np.zeros(gw + lw)
+            for col, wv in terms:
+                twice[col] = 2 * wv
+            base = bias - sum(wv for _, wv in terms)
             rows = np.flatnonzero(ids == k)
-            total = np.full(len(rows), bias)
-            for j, wv in ghr_terms:
-                total += np.where(ghr[rows, j], wv, -wv)
-            lhr = past(taken[rows], self.config.lh, False)
-            for j, wv in lhr_terms:
-                total += np.where(lhr[:, j], wv, -wv)
+            ghr_rows, lhr_rows = ghr[:, :gw][:, ::-1], past(taken[rows], lw, False)[:, ::-1]
+            chunk = max(1, DIRECTION_CHUNK_BYTES // (8 * max(gw + lw, 1)))
+            buf = np.empty((min(chunk, len(rows)), gw + lw))
+            for s in range(0, len(rows), chunk):
+                at = rows[s : s + chunk]
+                x = buf[: len(at)]
+                x[:, :gw] = ghr_rows[at]
+                x[:, gw:] = lhr_rows[s : s + chunk]
+                if fixed:
+                    total = x @ twice
+                    total += base
+                else:
+                    total = np.full(len(at), bias)
+                    for col, wv in terms:
+                        total += np.where(x[:, col], wv, -wv)
+                direction[at] = total >= 0
             hit[rows] = True
-            direction[rows] = total >= 0
         return hit, direction
 
 

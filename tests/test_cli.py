@@ -589,6 +589,11 @@ def test_simulate_rejects_hint_file_of_another_lh(tmp_path, capsys):
                        "--hints", hints) == 2
         assert capsys.readouterr().err == (
             f"sbp: {hints}: hint file lh 4 disagrees with --lh {lh}\n")
+    # a GHR wider than the run's is rejected before the trace is read
+    for trace_path in (trace, tmp_path / "missing.sbpt"):
+        assert run_cli("simulate", "--trace", trace_path, "--gh", 8, "--lh", 4,
+                       "--hints", hints) == 2
+        assert capsys.readouterr().err == f"sbp: {hints}: hint file gh 16 exceeds --gh 8\n"
     assert run_cli("simulate", "--trace", trace, "--gh", 16, "--lh", 4, "--hints", hints,
                    "-o", tmp_path / "r.json") == 0
 

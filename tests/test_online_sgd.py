@@ -214,7 +214,11 @@ def test_run_online_equals_interleaved_replay_on_correlated_trace():
         SyntheticScenario(kind="correlated", length=8_000, seed=3, noise_branches=3)
     )
     history = HistoryConfig(19, 4)
-    assert_same_results(run_online(trace, history), reference_run_online(trace, history))
+    # with B alone, every step takes the single-branch form, across many
+    # gathers of rows and adaptation intervals
+    for targets in (None, {PC_B}):
+        assert_same_results(run_online(trace, history, target_pcs=targets),
+                            reference_run_online(trace, history, target_pcs=targets))
 
 
 def test_run_online_never_holds_every_branch_rows():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbp import predictors
 from sbp.errors import ConfigError
 from sbp.history import HistoryConfig, collect_datasets
 from sbp.hints import (
@@ -370,21 +371,40 @@ def test_snapshot_on_all_hit_block():
     assert run(trace, config, hs).per_branch[2].slbiu_hits == 3
 
 
+def assert_runs_agree_in_chunks(*case):
+    """assert_runs_agree with the module's chunk of window rows, and with one
+    of a few rows or less, so that a PC's rows span several chunks."""
+    for chunk_bytes in (predictors.DIRECTION_CHUNK_BYTES, 200):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictors, "DIRECTION_CHUNK_BYTES", chunk_bytes)
+            assert_runs_agree(*case)
+
+
 @settings(max_examples=250, deadline=None)
 @given(sim_cases("gshare"))
 def test_gshare_run_equals_per_record_reference(case):
-    assert_runs_agree(*case)
+    assert_runs_agree_in_chunks(*case)
 
 
 @settings(max_examples=250, deadline=None)
 @given(sim_cases("tage_lite"))
 def test_tage_lite_run_equals_per_record_reference(case):
-    assert_runs_agree(*case)
+    assert_runs_agree_in_chunks(*case)
 
 
 @pytest.mark.parametrize("baseline", ["gshare", "tage_lite"])
-@pytest.mark.parametrize("qspec", [Q3_4, Q3_12, None])
-def test_correlated_run_equals_per_record_reference(baseline, qspec):
+@pytest.mark.parametrize("qspec, hints", [
+    pytest.param(Q3_4, None, id="qspec0"),
+    pytest.param(Q3_12, None, id="qspec1"),
+    pytest.param(None, None, id="None"),
+    # at the adder-tree limit: |bias| + sum |w| = 2^(16 + 2 - 1) - 1 units of 2^-12
+    pytest.param(Q3_12, [SparsityHint(PC_B, -8.0, [(1, -8.0), (8, -8.0), (41, 8.0 - 2.0**-12)],
+                                      Q3_12)], id="adder_limit"),
+    # fp32 sums that depend on the order of the terms (1 - 1 - 2^-60 < 0)
+    pytest.param(None, [SparsityHint(PC_B, 1.0, [(0, 1.0), (1, 2.0**-60)], None)],
+                 id="fp32_term_order"),
+])
+def test_correlated_run_equals_per_record_reference(baseline, qspec, hints):
     # a longer trace than the property tests draw: many blocks, snapshots on
     # hit and miss records, and hints on B and one noise branch (two records
     # in every five)
@@ -392,11 +412,13 @@ def test_correlated_run_equals_per_record_reference(baseline, qspec):
                                              noise_branches=3))
     config = SimConfig(history=HistoryConfig(40, 6), baseline=baseline,
                        snapshot_interval=777)
-    weight = {Q3_4: 2.0, Q3_12: 0.000244140625, None: 0.3}[qspec]
-    bias = -0.5 if qspec is None else -0.0625
-    hints = [SparsityHint(PC_B, 0.0, [(8, weight)], qspec),
-             SparsityHint(0x1100, bias, [(1, weight), (41, weight)], qspec)]
+    if hints is None:
+        weight = {Q3_4: 2.0, Q3_12: 0.000244140625, None: 0.3}[qspec]
+        bias = -0.5 if qspec is None else -0.0625
+        hints = [SparsityHint(PC_B, 0.0, [(8, weight)], qspec),
+                 SparsityHint(0x1100, bias, [(1, weight), (41, weight)], qspec)]
     q = FP32_WIDTH if qspec is None else qspec.q
-    hs = HintSet("c", SlbiuConfig(lh=6, gh=40, n=2, nnz=2, q=q), hints)
+    nnz = max(h.nnz for h in hints)
+    hs = HintSet("c", SlbiuConfig(lh=6, gh=40, n=len(hints), nnz=nnz, q=q), hints)
     for hintset in (None, hs):
         assert_runs_agree(trace, config, hintset, 100)
