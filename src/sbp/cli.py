@@ -264,6 +264,10 @@ def _model_from_json(pc, m, width, qspec):
         j = _int(j_s, f"model {pc}: weight index")
         if not 0 <= j < width:
             raise ValueError(f"model {pc}: weight index {j} is outside [0, {width})")
+        if not (j_s.isascii() and j_s.isdigit()):  # as `sbp train` writes str(j)
+            raise ValueError(f"model {pc}: weight index {j_s!r} is not in ASCII digits")
+        if j in weights:
+            raise ValueError(f"model {pc}: weight index {j_s!r} repeats index {j}")
         weights[j] = _number(w, f"model {pc}: weight {j}")
     model = SparseModel(
         pc=pc,
@@ -279,9 +283,18 @@ def _model_from_json(pc, m, width, qspec):
 
 
 def _read_json(path):
-    """The JSON value in a file; a file that is not UTF-8 JSON is an error naming it."""
+    """A file's JSON value; anything but UTF-8 JSON with unique keys is an error naming it."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SbpError(f"{path}: key {key!r} repeats in one JSON object")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except ValueError as e:  # json.JSONDecodeError and UnicodeDecodeError
         raise SbpError(f"{path}: not a JSON file ({e})") from None
 
@@ -293,6 +306,8 @@ def _load_models_json(path, qspec):
         models = {}
         for key, m in data["models"].items():
             pc = _pc(key, "model key")
+            if pc in models:
+                raise ValueError(f"model key {key!r} repeats PC {pc}")
             models[pc] = _model_from_json(pc, m, gh + lh, qspec)
     except (AttributeError, KeyError, TypeError) as e:
         raise SbpError(f"{path}: not a models file from `sbp train` ({e!r})") from None

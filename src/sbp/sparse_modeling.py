@@ -17,8 +17,8 @@ starts from its gradient at the zero model. The coordinate steps use glmnet's
 covariance updates (Friedman, Hastie & Tibshirani, J. Stat. Softw. 33(1),
 2010, section 2.2): they read `X.T @ dz` and `sum(dz)` off the Gram matrix
 `X.T @ X` and the column sums, both exact integer sums of +-1 products, so no
-step touches an m-length array. The sign rule (`b + x @ w >= 0`) comes from
-`TrainingDataset.signs`, the signs of numpy's product on the int8 matrix.
+step touches an m-length array. Every sign rule of the trainer,
+`b + x @ w >= 0`, is `TrainingDataset.signs`: one sum over the float64 copy.
 """
 
 import math
@@ -113,11 +113,6 @@ class TrainingDataset:
     def taken_rate(self):
         return float(self.y.mean()) if self.m else 0.0
 
-    @property
-    def x(self):
-        """A fresh gathered copy of the (m, l) rows, as int8."""
-        return self.fill(np.empty((self.m, self.config.l), dtype=np.int8))
-
     def fill(self, out):
         """Write the (m, l) rows into `out`, any numeric array of that shape,
         and return it."""
@@ -125,18 +120,10 @@ class TrainingDataset:
         return out
 
     def signs(self, bias, w):
-        """`bias + x @ w >= 0` for every row, as numpy's product on the int8
-        features gives it. The sum over `columns` adds in another order, so
-        its signs are taken only if no sum is within 4(l+2) eps (|bias| +
-        sum|w|) of zero, which bounds the rounding error of either order
-        (gamma_n; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-        ed., 3.1). Otherwise the int8 product decides."""
+        """`bias + x @ w >= 0` for every row, summed over `columns`."""
         s = self.columns @ w
         s += bias
-        size = abs(bias) + float(np.abs(w).sum())
-        if not (np.abs(s) <= 4 * (len(w) + 2) * np.finfo(np.float64).eps * size).any():
-            return s >= 0
-        return bias + self.x @ w >= 0
+        return s >= 0
 
     @cached_property
     def columns(self):
@@ -297,8 +284,6 @@ def predictions(model, dataset):
 
 
 def correct_count(model, dataset):
-    if dataset.m == 0:
-        return 0
     return int(np.sum(predictions(model, dataset) == dataset.y))
 
 
@@ -320,9 +305,8 @@ def kkt_violation(model, dataset, alpha=1.0):
     Zero coordinates must satisfy |g_j| <= lam*alpha; non-zero ones must have
     g_j + lam*alpha*sign(w_j) = 0 (L2 part folded into g).
     """
-    x = dataset.x
-    w = model.weight_vector(x.shape[1])
-    r = _sigmoid(model.bias + x @ w) - dataset.y.astype(np.float64)
+    w = model.weight_vector(dataset.config.l)
+    r = _sigmoid(model.bias + dataset.columns @ w) - dataset.y.astype(np.float64)
     g = (dataset.columns.T @ r) / dataset.m
     g += model.lam * (1.0 - alpha) * w
     l1 = model.lam * alpha

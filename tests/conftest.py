@@ -67,6 +67,11 @@ def gather_from(x):
     return lambda out: np.copyto(out, x)
 
 
+def int8_rows(ds):
+    """A fresh gathered copy of a `TrainingDataset`'s (m, l) rows, as int8."""
+    return ds.fill(np.empty((ds.m, ds.config.l), dtype=np.int8))
+
+
 def write_out_of_range_hint(path):
     """A hint file whose one entry index (7) is outside [0, lh + gh) = [0, 6)
     but fits the 3-bit index field."""

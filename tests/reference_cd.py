@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from sbp.sparse_modeling import LAMBDA_PROBES, SparseModel, eval_accuracy
+from tests.conftest import int8_rows
 
 CURVATURE = 0.25
 INNER_SWEEPS = 10
@@ -44,7 +45,7 @@ def fit(dataset, lam, alpha, config, columns=None):
     m = dataset.m
     if m < 1:
         raise ValueError("fit requires at least one sample")
-    X = np.asfortranarray(dataset.x, dtype=np.float64) if columns is None else columns
+    X = np.asfortranarray(int8_rows(dataset), dtype=np.float64) if columns is None else columns
     y = dataset.y.astype(np.float64)
     l = X.shape[1]
     h = CURVATURE
@@ -100,7 +101,7 @@ def fit(dataset, lam, alpha, config, columns=None):
             converged = True
             break
     w[np.abs(w) < 10.0 * tol] = 0.0
-    scores = b + dataset.x @ w
+    scores = b + int8_rows(dataset) @ w
     accuracy = float(np.mean((scores >= 0) == dataset.y))
     weights = {int(j): float(w[j]) for j in np.flatnonzero(w)}
     return SparseModel(
@@ -118,7 +119,7 @@ def lambda_search(dataset, config):
     lo = math.log(config.lambda_min)
     hi = math.log(config.lambda_max)
     probes = []
-    columns = np.asfortranarray(dataset.x, dtype=np.float64)
+    columns = np.asfortranarray(int8_rows(dataset), dtype=np.float64)
     for _ in range(LAMBDA_PROBES):
         mid = (lo + hi) / 2.0
         model = fit(dataset, math.exp(mid), config.elasticnet_alpha, config, columns)
@@ -139,8 +140,9 @@ def dedup(dataset, lasso_model, config):
     alpha = config.elasticnet_alpha if config.elasticnet_alpha < 1.0 else 0.5
     en = fit(dataset, lasso_model.lam, alpha, config)
     groups = {}
+    x = int8_rows(dataset)
     for j in sorted(en.weights):
-        key = dataset.x[:, j].tobytes()
+        key = x[:, j].tobytes()
         groups.setdefault(key, []).append(j)
     weights = {}
     for members in groups.values():

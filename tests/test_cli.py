@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,10 @@ from sbp.hints import (
     empty_hintset,
     encode_hintset,
 )
-from sbp.trace_io import PC_B, read_trace
+from sbp.history import HistoryConfig
+from sbp.simulator import train_models
+from sbp.sparse_modeling import BranchScreen, SolverConfig
+from sbp.trace_io import PC_B, read_trace, write_trace
 from tests.conftest import write_out_of_range_hint
 
 
@@ -435,6 +439,13 @@ def _model(**changes):
     (_model(converged=None), "model 12288: converged None is not true or false"),
     (_model(weights={"0": 1e39}), "model 12288: weight 0 1e+39 is beyond the float32 range"),
     (_model(bias=-1e39), "model 12288: bias -1e+39 is beyond the float32 range"),
+    (_model(weights={"+1": 0.5}), "model 12288: weight index '+1' is not in ASCII digits"),
+    (_model(weights={" 1": 0.5}), "model 12288: weight index ' 1' is not in ASCII digits"),
+    (_model(weights={"\u0661": 0.5}), "model 12288: weight index '\u0661' is not in ASCII digits"),
+    (_model(weights={"0_1": 0.5}), "model 12288: weight index '0_1' is not in ASCII digits"),
+    (_model(weights={"1_0": 0.5}), "model 12288: weight index 10 is outside [0, 4)"),
+    (_model(weights={"1": 1.0, "01": -1.0}), "model 12288: weight index '01' repeats index 1"),
+    (_model(weights={"03": 1.0, "3": -1.0}), "model 12288: weight index '3' repeats index 3"),
 ])
 def test_select_rejects_bad_model_values(tmp_path, capsys, model, message):
     # in fp32, where values beyond the float32 range are bad too; Q3.4 saturates them
@@ -461,7 +472,7 @@ def test_select_names_a_model_key_that_is_not_a_pc(tmp_path, capsys):
 
 
 # `sbp train` writes each key as str(pc): ASCII decimal digits below 2**64
-@pytest.mark.parametrize("key", ["-5", "18446744073709551616", "1_2", " 7"])
+@pytest.mark.parametrize("key", ["-5", "18446744073709551616", "1_2", " 7", "+7", "\u0667"])
 def test_select_names_a_model_key_that_no_pc_can_have(tmp_path, capsys, key):
     trace = tmp_path / "loop.sbpt"
     assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
@@ -472,6 +483,58 @@ def test_select_names_a_model_key_that_no_pc_can_have(tmp_path, capsys, key):
                    "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
     assert capsys.readouterr().err == f"sbp: {models}: model key {key!r} is not a 64-bit PC\n"
     assert not (tmp_path / "h.sbph").exists()
+
+
+# json.loads keeps the last of two keys written alike; two keys for one PC
+# or index would do the same: each is an error naming the key
+@pytest.mark.parametrize("models_text, message", [
+    ('{"12288": %s, "012288": %s}' % (json.dumps(_model()), json.dumps(_model(bias=-0.5))),
+     "model key '012288' repeats PC 12288"),
+    ('{"12288": %s, "12288": %s}' % (json.dumps(_model()), json.dumps(_model(bias=-0.5))),
+     "key '12288' repeats in one JSON object"),
+    ('{"12288": %s}' % json.dumps(_model()).replace('{"1": 1.0}', '{"1": 1.0, "1": -1.0}'),
+     "key '1' repeats in one JSON object"),
+], ids=["pc", "model", "weight"])
+def test_select_names_a_key_that_repeats(tmp_path, capsys, models_text, message):
+    trace = tmp_path / "loop.sbpt"
+    assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
+    models = tmp_path / "m.json"
+    models.write_text('{"gh": 4, "lh": 0, "models": %s}' % models_text)
+    capsys.readouterr()
+    assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
+                   "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
+    assert capsys.readouterr().err == f"sbp: {models}: {message}\n"
+    assert not (tmp_path / "h.sbph").exists()
+
+
+@pytest.mark.parametrize("which", ["correlated", "loop"])
+def test_models_file_round_trips_train_models(request, tmp_path, which):
+    # what `sbp train` writes, `select` reads back as the very models that
+    # train_models returns, field by field and bit for bit
+    trace = request.getfixturevalue(f"{which}_trace")
+    path = tmp_path / "t.sbpt"
+    write_trace(trace, path)
+    out = tmp_path / "models.json"
+    assert run_cli("train", "--trace", path, "--gh", 12, "--lh", 4,
+                   "--min-occurrences", 1000, "-o", out) == 0
+    expect = train_models(trace, HistoryConfig(12, 4), BranchScreen(min_occurrences=1000),
+                          SolverConfig())
+    assert expect and any(model.weights for model in expect.values())
+    gh, lh, models = cli._load_models_json(out, None)
+    assert (gh, lh) == (12, 4)
+    assert list(models) == list(expect)
+    for pc, model in models.items():
+        assert asdict(model) == asdict(expect[pc])
+    # the file's bytes: json.dumps(sort_keys=True) orders weight keys as
+    # strings ("10" before "2"), so integer keys would write another order
+    payload = {
+        str(pc): {"bias": m.bias, "weights": {str(j): w for j, w in m.weights.items()},
+                  "lambda": m.lam, "accuracy": m.accuracy, "m": m.m,
+                  "sufficient": m.sufficient, "converged": m.converged}
+        for pc, m in expect.items()
+    }
+    text = json.dumps({"gh": 12, "lh": 4, "models": payload}, sort_keys=True, indent=2)
+    assert out.read_text() == text + "\n"
 
 
 @pytest.mark.parametrize("header, message", [

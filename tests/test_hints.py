@@ -36,7 +36,7 @@ from sbp.hints import (
 from sbp.sparse_modeling import SolverConfig, SparseModel, fit, lambda_search, predictions
 from sbp.trace_io import PC_LOOP, SyntheticScenario, gen_loop
 from tests import reference_hints
-from tests.conftest import gather_from, write_out_of_range_hint
+from tests.conftest import gather_from, int8_rows, write_out_of_range_hint
 
 
 def test_quant_spec_parse():
@@ -114,7 +114,7 @@ def test_dedup_collapses_duplicate_columns():
     # period 3: columns j, j+3, j+6, ... are identical; at most one survivor each
     groups = {}
     for j in dd.weights:
-        groups.setdefault(ds.x[:, j].tobytes(), []).append(j)
+        groups.setdefault(int8_rows(ds)[:, j].tobytes(), []).append(j)
     assert all(len(members) == 1 for members in groups.values())
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sbp.history import HistoryConfig, collect_datasets, past, sample_rows
 from sbp.trace_io import PC_B, PC_LOOP, SyntheticScenario, Trace, gen_correlated, gen_loop
-from tests.conftest import random_trace
+from tests.conftest import int8_rows, random_trace
 from tests.reference_history import ints_to_pm1, reference_collect_datasets
 
 
@@ -46,7 +46,7 @@ def test_collect_datasets_matches_reference_queue():
     got = collect_datasets(trace, config)
     assert set(got) == set(want)
     for pc, rows in want.items():
-        assert got[pc].x.tolist() == rows
+        assert int8_rows(got[pc]).tolist() == rows
 
 
 def test_features_layout():
@@ -55,7 +55,7 @@ def test_features_layout():
     ds = collect_datasets(trace, config)[7]
     # one sample, read before the last record: GHR segment first (newest =
     # index 0), then the LHR segment of pc 7
-    assert ds.x.tolist() == [[1, 1, -1, 1, 1]]
+    assert int8_rows(ds).tolist() == [[1, 1, -1, 1, 1]]
     assert ds.y.tolist() == [False]
 
 
@@ -63,7 +63,7 @@ def test_local_history_pads_with_not_taken():
     # the sample is pc 2's second occurrence: one outcome of local history
     trace = Trace([1, 1, 2, 2], [True, False, True, False])
     ds = collect_datasets(trace, HistoryConfig(gh=1, lh=2))[2]
-    assert ds.x.tolist() == [[1, 1, -1]]
+    assert int8_rows(ds).tolist() == [[1, 1, -1]]
 
 
 def test_config_validation():
@@ -88,14 +88,15 @@ def test_samples_use_history_before_update():
     trace = Trace([5] * 50, [i % 2 == 0 for i in range(50)])
     ds = collect_datasets(trace, HistoryConfig(gh=1, lh=0))[5]
     assert ds.m == 49
-    assert np.all((ds.x[:, 0] == 1) != ds.y)
+    assert np.all((int8_rows(ds)[:, 0] == 1) != ds.y)
 
 
 def test_loop_lhr_mirrors_ghr():
     # One static branch only: its local history equals the global history.
     trace = gen_loop(SyntheticScenario(kind="loop", length=500, loop_period=5))
     ds = collect_datasets(trace, HistoryConfig(gh=4, lh=4))[PC_LOOP]
-    assert np.array_equal(ds.x[:, :4], ds.x[:, 4:])
+    x = int8_rows(ds)
+    assert np.array_equal(x[:, :4], x[:, 4:])
 
 
 def test_missing_target_has_no_dataset():
@@ -114,7 +115,7 @@ def test_targets_filter():
     assert branches == [(pc, full.m)]
     x = np.empty((full.m, config.l), dtype=np.int8)
     assert np.array_equal(rows(0, np.arange(full.m), x), full.y)
-    assert np.array_equal(x, full.x)
+    assert np.array_equal(x, int8_rows(full))
 
 
 PCS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True)
@@ -146,12 +147,13 @@ def test_collect_datasets_equals_per_record_replay(case):
     for pc, ds in got.items():
         ref = want[pc]
         assert ds.target_pc == pc and ds.config == config
-        assert ds.x.dtype == np.int8 and ds.y.dtype == np.bool_
-        assert ds.x.shape == ref.x.shape == (ds.m, config.l)
-        assert ds.x.tobytes() == ref.x.tobytes()
+        x, ref_x = int8_rows(ds), int8_rows(ref)
+        assert ds.y.dtype == np.bool_
+        assert x.shape == ref_x.shape == (ds.m, config.l)
+        assert x.tobytes() == ref_x.tobytes()
         assert ds.y.tobytes() == ref.y.tobytes()
         columns = ds.fill(np.empty((ds.m, config.l), order="F"))
-        assert np.array_equal(columns, ref.x)
+        assert np.array_equal(columns, ref_x)
 
 
 def test_collect_datasets_holds_no_feature_matrix():
@@ -170,7 +172,8 @@ def test_collect_datasets_holds_no_feature_matrix():
     assert rows > 3_000_000
     assert peak < rows / 3
     ds = datasets[PC_B]
-    assert np.array_equal(ds.x[:, 10] == 1, ds.y)  # B is A of the block before: 11 records back
+    # B is A of the block before: 11 records back
+    assert np.array_equal(int8_rows(ds)[:, 10] == 1, ds.y)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,6 +19,7 @@ from sbp.trace_io import (
     gen_loop,
     gen_utilization,
 )
+from tests.conftest import int8_rows
 from tests.reference_online import (
     OnlineModel,
     adapt_lambda,
@@ -228,7 +229,7 @@ def test_run_online_never_holds_every_branch_rows():
     history = HistoryConfig(64, 16)
     datasets = collect_datasets(trace, history)
     assert len(datasets) == 20
-    all_rows = sum(ds.x.nbytes for ds in datasets.values())
+    all_rows = sum(int8_rows(ds).nbytes for ds in datasets.values())
     del datasets
     run_online(trace, history)  # first call: imports and lazy set-up
     tracemalloc.start()

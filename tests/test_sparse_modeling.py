@@ -24,7 +24,7 @@ from sbp.sparse_modeling import (
 )
 from sbp.trace_io import PC_B, SyntheticScenario, gen_correlated
 from tests import reference_cd
-from tests.conftest import gather_from
+from tests.conftest import gather_from, int8_rows
 from tests.reference_cd import objective
 
 
@@ -36,7 +36,7 @@ def make_dataset(x, y, pc=1):
 
 def fresh(ds):
     """The same samples in a new dataset, with nothing built on it yet."""
-    return TrainingDataset(ds.target_pc, ds.y, ds.config, gather_from(ds.x))
+    return TrainingDataset(ds.target_pc, ds.y, ds.config, gather_from(int8_rows(ds)))
 
 
 def bernoulli_dataset(m, l, rule, seed=0, pc=1):
@@ -151,7 +151,7 @@ def test_feature_order_does_not_change_models():
     # fit builds its own column-major copy of the features; the caller's
     # memory layout must not change a single bit of the result
     ds = bernoulli_dataset(1500, 8, lambda row: row[1] == 1 or row[5] == -1, seed=9)
-    rows = np.asfortranarray(ds.x)
+    rows = np.asfortranarray(int8_rows(ds))
     assert rows.flags.f_contiguous and not rows.flags.c_contiguous
     ds_f = make_dataset(rows, ds.y)
     cfg = SolverConfig()
@@ -165,13 +165,14 @@ def test_predictions_are_float_scores_of_int8_features():
     model = fit(ds, lam=0.005, alpha=1.0, config=SolverConfig())
     assert model.nnz > 0
     w = model.weight_vector(7)
-    expect = model.bias + ds.x.astype(np.float64) @ w >= 0
+    expect = model.bias + int8_rows(ds).astype(np.float64) @ w >= 0
     assert np.array_equal(predictions(model, ds), expect)
 
 
 def test_no_float32_feature_cache():
     ds = bernoulli_dataset(10, 3, lambda row: True)
     assert not hasattr(ds, "xf")
+    assert not hasattr(ds, "x")  # tests take int8 rows from conftest.int8_rows
     root = Path(__file__).resolve().parent.parent
     pattern = re.compile(r"\b_?xf\b")
     files = [*root.glob("src/sbp/*.py"), *root.glob("tests/*.py")]
@@ -224,7 +225,7 @@ def test_design_is_built_on_first_use():
 
 
 def _scores(model, ds):
-    return model.bias + ds.x @ model.weight_vector(ds.x.shape[1])
+    return model.bias + int8_rows(ds) @ model.weight_vector(ds.config.l)
 
 
 def assert_matches_reference(model, expect, ds, alpha):
@@ -241,8 +242,8 @@ def assert_matches_reference(model, expect, ds, alpha):
     assert np.array_equal(predictions(model, ds)[clear], predictions(expect, ds)[clear])
     assert model.accuracy == expect.accuracy or not clear.all()
     y = ds.y.astype(np.float64)
-    obj = objective(_scores(model, ds), y, model.weight_vector(ds.x.shape[1]), model.lam, alpha)
-    ref = objective(_scores(expect, ds), y, expect.weight_vector(ds.x.shape[1]), expect.lam, alpha)
+    obj = objective(_scores(model, ds), y, model.weight_vector(ds.config.l), model.lam, alpha)
+    ref = objective(_scores(expect, ds), y, expect.weight_vector(ds.config.l), expect.lam, alpha)
     assert obj <= ref + 1e-12
 
 
@@ -297,33 +298,15 @@ def test_search_and_dedup_equal_reference(request, which, alpha):
         assert dedup(again, lambda_search(again, cfg), cfg) == model
 
 
-class CountingDataset(TrainingDataset):
-    """Counts the reads of `x`: `columns` is filled without one, so each
-    read is a `signs` call that fell back to the int8 product."""
-
-    reads = 0
-
-    @property
-    def x(self):
-        self.reads += 1
-        return super().x
-
-
-def counting_dataset(x, y):
-    x = np.asarray(x, dtype=np.int8)
-    config = HistoryConfig(gh=x.shape[1], lh=0)
-    return CountingDataset(1, np.asarray(y, dtype=bool), config, gather_from(x))
-
-
 GRID = [(1, 1), (2, 100), (7, 3), (64, 16), (1001, 80), (1920, 80), (4096, 33), (6987, 80),
         (7000, 100)]
 
 
 @pytest.mark.parametrize("m, l", GRID)
 def test_design_scores_are_the_bits_of_int8_products(m, l):
-    # every sign rule in the package comes from TrainingDataset.signs, which sums over
-    # the column-major copy in another order than numpy's int8 `x @ w`; the
-    # booleans `bias + x @ w >= 0` must agree exactly, whatever the BLAS does
+    # every sign rule of the trainer is TrainingDataset.signs, a sum over the
+    # column-major float64 copy; on data whose sums are away from ties its
+    # booleans are those of numpy's int8 `bias + x @ w >= 0`
     rng = np.random.default_rng(m * 101 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
     ds = make_dataset(x, rng.random(m) < 0.5)
@@ -340,11 +323,11 @@ def test_design_scores_are_the_bits_of_int8_products(m, l):
 @pytest.mark.parametrize("m, l", GRID)
 @pytest.mark.parametrize("fraction_bits", [4, 12])
 def test_fixed_point_signs_with_exact_zero_sums(m, l, fraction_bits):
-    # Q3.4 and Q3.12 models sum to exactly zero on many rows, where the
-    # int8 product decides; every partial sum is exact, so it agrees anyway
+    # Q3.4 and Q3.12 models sum to exactly zero on many rows; every partial
+    # sum is exact, so the float64 copy's signs are the int8 product's there too
     rng = np.random.default_rng(m * 7 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
-    ds = counting_dataset(x, rng.random(m) < 0.5)
+    ds = make_dataset(x, rng.random(m) < 0.5)
     steps = np.array([1, 3, 5, 127]) / 2.0**fraction_bits
     mixed = rng.choice(steps, l) * rng.choice([-1, 1], l)
     for bias, w in [(0.0, np.full(l, steps[0])), (steps[1], mixed),
@@ -353,26 +336,11 @@ def test_fixed_point_signs_with_exact_zero_sums(m, l, fraction_bits):
         assert np.array_equal(ds.signs(bias, w), expect)
 
 
-@pytest.mark.parametrize("m, l", [(m, l) for m, l in GRID if l >= 2])
-def test_ties_off_the_grid_fall_back_to_the_int8_product(m, l):
-    # opposite weights on twin columns cancel on every row: the sums sit at
-    # the rounding error of either order, so the int8 product must decide
-    rng = np.random.default_rng(m + 13 * l)
-    x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
-    x[:, 1] = x[:, 0]
-    ds = counting_dataset(x, rng.random(m) < 0.5)
-    w = np.zeros(l)
-    w[0], w[1] = 0.1, -0.1
-    w[2:] = rng.normal(0.0, 1e-17, l - 2)
-    assert np.array_equal(ds.signs(0.0, w), x @ w >= 0)
-    assert ds.reads == 1
-
-
 @pytest.mark.parametrize("m, l", GRID)
 def test_large_weights_off_the_grid(m, l):
     rng = np.random.default_rng(m * 3 + l)
     x = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, l))
-    ds = counting_dataset(x, rng.random(m) < 0.5)
+    ds = make_dataset(x, rng.random(m) < 0.5)
     for scale in (1e6, 1e12, 2.0**40):
         w = rng.normal(0.0, scale, l)
         bias = float(rng.normal(0.0, scale))
