@@ -72,7 +72,7 @@ def _check_flags(args):
     if hasattr(args, "targets"):
         text = args.targets
         try:
-            args.targets = None if text == "all" else {_pc(t, "target", 0) for t in text.split(",")}
+            args.targets = None if text == "all" else {_target(t) for t in text.split(",")}
         except ValueError as e:
             raise ConfigError(f"--targets {text}: {e}; need 'all' or PCs like 0x2000") from None
     baseline = getattr(args, "baseline", None)
@@ -83,13 +83,11 @@ def _check_flags(args):
 
 
 def _sim_config(args):
-    """The simulator setup of the baseline flags (`_check_flags` checked them)."""
+    """The checked simulator setup; the unchosen baseline's size flag is not read."""
     baseline = args.baseline.replace("-", "_")
-    config = SimConfig(history=HistoryConfig(args.gh, args.lh), baseline=baseline,
-                       gshare_index_bits=args.gshare_bits)
-    if baseline == "tage_lite":  # the unchosen baseline's size flag is neither checked nor read
-        config.tage = TageLiteConfig(table_entries=args.tage_entries)
-    return config
+    tage = (TageLiteConfig(table_entries=args.tage_entries) if baseline == "tage_lite"
+            else TageLiteConfig())
+    return SimConfig(HistoryConfig(args.gh, args.lh), baseline, args.gshare_bits, tage)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,20 +196,7 @@ def _cmd_train(args):
     screen_cfg = BranchScreen(min_occurrences=args.min_occurrences)
     solver = SolverConfig(elasticnet_alpha=args.alpha)
     models = train_models(trace, history, screen_cfg, solver)
-    payload = {
-        str(pc): {
-            "bias": model.bias,
-            "weights": {str(j): w for j, w in sorted(model.weights.items())},
-            "lambda": model.lam,
-            "accuracy": model.accuracy,
-            "m": model.m,
-            "sufficient": model.sufficient,
-            "converged": model.converged,
-        }
-        for pc, model in models.items()
-    }
-    text = json.dumps({"gh": args.gh, "lh": args.lh, "models": payload}, sort_keys=True, indent=2)
-    Path(args.output).write_text(text + "\n")
+    Path(args.output).write_text(_models_json(args.gh, args.lh, models))
     return 0
 
 
@@ -223,20 +208,24 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _int(text, what, base=10):
+def _target(text):
+    """A --targets PC, read by int(text, 0): 0x2000 and padding spaces work."""
     try:
-        return int(text, base)
+        pc = int(text, 0)
     except ValueError:
-        raise ValueError(f"{what} {text!r} is not an integer") from None
-
-
-def _pc(text, what, base=10):
-    """The 64-bit PC that `text` names, read by int(text, base). In base 10
-    (model keys, which `sbp train` writes as str(pc)) only ASCII digits count."""
-    pc = _int(text, what, base)
-    if not 0 <= pc < 1 << 64 or base == 10 and not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{what} {text!r} is not a 64-bit PC")
+        raise ValueError(f"target {text!r} is not an integer") from None
+    if not 0 <= pc < 1 << 64:
+        raise ValueError(f"target {text!r} is not a 64-bit PC")
     return pc
+
+
+def _key(text, limit, what):
+    """n for a models.json key that is str(n), as `sbp train` writes it, and 0 <= n < limit."""
+    if text.isascii() and text.isdigit() and len(text) <= len(str(limit)):  # int() caps digits
+        n = int(text)
+        if str(n) == text and n < limit:
+            return n
+    raise ValueError(f"{what} {text!r} is not in [0, {limit}) in canonical decimal")
 
 
 def _count(value, what):
@@ -245,39 +234,53 @@ def _count(value, what):
     return value
 
 
-def _number(value, what):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+def _number(value, what):  # not math.isfinite, which raises on an int beyond the float range
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{what} {value!r} is not a finite number")
     return value
 
 
-def _model_from_json(pc, m, width, qspec):
+def _flag(value, what):
+    if type(value) is not bool:
+        raise ValueError(f"{what} {value!r} is not true or false")
+    return value
+
+
+# A model's scalar fields in models.json: (JSON key, SparseModel attribute, check,
+# value if absent: None when required; older files have no `converged`).
+MODEL_FIELDS = (
+    ("bias", "bias", _number, None),
+    ("lambda", "lam", _number, None),
+    ("accuracy", "accuracy", _number, None),
+    ("m", "m", _count, None),
+    ("sufficient", "sufficient", _flag, None),
+    ("converged", "converged", _flag, True),
+)
+
+
+def _models_json(gh, lh, models):
+    """The text of models.json, the hand-off from `sbp train` to `sbp select`."""
+    payload = {
+        str(pc): {key: getattr(model, attr) for key, attr, _, _ in MODEL_FIELDS}
+        | {"weights": {str(j): w for j, w in model.weights.items()}}
+        for pc, model in models.items()
+    }
+    return json.dumps({"gh": gh, "lh": lh, "models": payload}, sort_keys=True, indent=2) + "\n"
+
+
+def _model_from_json(text, m, width, qspec):
     """One `sbp train` model; weight indices must address the gh + lh history,
     and the values must fit the weight format (fp32: the float32 range)."""
-    count = _count(m["m"], f"model {pc}: m")
-    flags = {"sufficient": m["sufficient"], "converged": m.get("converged", True)}
-    for key, value in flags.items():  # `converged` is absent from older files
-        if type(value) is not bool:
-            raise ValueError(f"model {pc}: {key} {value!r} is not true or false")
-    weights = {}
-    for j_s, w in m["weights"].items():
-        j = _int(j_s, f"model {pc}: weight index")
-        if not 0 <= j < width:
-            raise ValueError(f"model {pc}: weight index {j} is outside [0, {width})")
-        if not (j_s.isascii() and j_s.isdigit()):  # as `sbp train` writes str(j)
-            raise ValueError(f"model {pc}: weight index {j_s!r} is not in ASCII digits")
-        if j in weights:
-            raise ValueError(f"model {pc}: weight index {j_s!r} repeats index {j}")
-        weights[j] = _number(w, f"model {pc}: weight {j}")
-    model = SparseModel(
-        pc=pc,
-        bias=_number(m["bias"], f"model {pc}: bias"),
-        weights=weights,
-        lam=_number(m["lambda"], f"model {pc}: lambda"),
-        accuracy=_number(m["accuracy"], f"model {pc}: accuracy"),
-        m=count,
-        **flags,
-    )
+    pc = _key(text, 1 << 64, "model key")  # one model per PC: `_read_json` rejects repeated keys
+    fields = {
+        attr: check(m[key] if absent is None else m.get(key, absent), f"model {pc}: {key}")
+        for key, attr, check, absent in MODEL_FIELDS
+    }
+    weights = {
+        _key(j, width, f"model {pc}: weight index"): _number(w, f"model {pc}: weight {j}")
+        for j, w in m["weights"].items()
+    }
+    model = SparseModel(pc=pc, weights=weights, **fields)
     quantize(model, qspec)  # select_hints quantizes again; here a failure names the file
     return model
 
@@ -295,7 +298,7 @@ def _read_json(path):
 
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
-    except ValueError as e:  # json.JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # also UnicodeDecodeError; deep nesting recurses
         raise SbpError(f"{path}: not a JSON file ({e})") from None
 
 
@@ -303,17 +306,12 @@ def _load_models_json(path, qspec):
     data = _read_json(path)
     try:
         gh, lh = _count(data["gh"], "gh"), _count(data["lh"], "lh")
-        models = {}
-        for key, m in data["models"].items():
-            pc = _pc(key, "model key")
-            if pc in models:
-                raise ValueError(f"model key {key!r} repeats PC {pc}")
-            models[pc] = _model_from_json(pc, m, gh + lh, qspec)
+        models = [_model_from_json(key, m, gh + lh, qspec) for key, m in data["models"].items()]
     except (AttributeError, KeyError, TypeError) as e:
         raise SbpError(f"{path}: not a models file from `sbp train` ({e!r})") from None
     except ValueError as e:
         raise SbpError(f"{path}: {e}") from None
-    return gh, lh, models
+    return gh, lh, {model.pc: model for model in models}
 
 
 def _cmd_select(args):

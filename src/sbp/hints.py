@@ -70,7 +70,7 @@ def quantize_value(v, spec, what="value"):
         except OverflowError:
             raise ValueError(f"{what} {v!r} is beyond the float32 range") from None
     scale = 1 << spec.fraction_bits
-    raw = math.floor(abs(v) * scale + 0.5)
+    raw = math.floor(min(abs(v), 1 << spec.integer_bits) * scale + 0.5)  # |v| * scale may be inf
     return max(spec.min_value, min(spec.max_value, (-raw if v < 0 else raw) / scale))
 
 

@@ -26,15 +26,14 @@ class SimConfig:
     tage: TageLiteConfig = field(default_factory=TageLiteConfig)
     snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL
 
-    def build_baseline(self, pcs):
-        """The baseline for a trace whose distinct PCs are `pcs`."""
-        if self.baseline == "gshare":
-            return Gshare(self.gshare_index_bits, self.history.gh, pcs)
-        if self.baseline == "tage_lite":
-            if max(self.tage.history_lengths) > self.history.gh:
-                raise ConfigError("TAGE-lite history lengths exceed the shared GHR")
-            return TageLite(self.tage, pcs)
-        raise ConfigError(f"unknown baseline {self.baseline!r}")
+    def __post_init__(self):
+        if self.baseline not in ("gshare", "tage_lite"):
+            raise ConfigError(f"unknown baseline {self.baseline!r}")
+        longest, gh = max(self.tage.history_lengths, default=0), self.history.gh
+        if self.baseline == "tage_lite" and longest > gh:
+            raise ConfigError(f"TAGE-lite history lengths reach {longest}, beyond gh {gh}")
+        if self.snapshot_interval < 1:
+            raise ConfigError("snapshot interval must be at least 1")
 
 
 @dataclass
@@ -90,10 +89,11 @@ def run(trace, config, hintset=None, correct_from=0):
     blocks of at most BLOCK records that end on every snapshot boundary.
     """
     interval = config.snapshot_interval
-    if interval < 1:
-        raise ConfigError("snapshot interval must be at least 1")
     pcs, ids = trace.pc_ids()
-    baseline = config.build_baseline(pcs)
+    if config.baseline == "gshare":
+        baseline = Gshare(config.gshare_index_bits, config.history.gh, pcs)
+    else:
+        baseline = TageLite(config.tage, pcs)
     taken = trace.taken
     ghr = past(taken, config.history.gh, False)
     n = len(taken)

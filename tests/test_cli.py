@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -23,7 +24,7 @@ from sbp.hints import (
 )
 from sbp.history import HistoryConfig
 from sbp.simulator import train_models
-from sbp.sparse_modeling import BranchScreen, SolverConfig
+from sbp.sparse_modeling import BranchScreen, SolverConfig, SparseModel
 from sbp.trace_io import PC_B, read_trace, write_trace
 from tests.conftest import write_out_of_range_hint
 
@@ -344,6 +345,7 @@ def test_report_duplicate_phase_id_is_an_error(tmp_path, capsys):
     (b"", "Expecting value: line 1 column 1 (char 0)"),
     (b'{"gh": 4, "lh"', "Expecting ':' delimiter"),
     (b'\xff{"mpki": 1.0}', "'utf-8' codec can't decode byte 0xff"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded", id="deep"),
 ])
 @pytest.mark.parametrize("flag", ["--models", "--scurve", "--baseline-reports"])
 def test_input_that_is_not_json_names_its_path(tmp_path, capsys, flag, content, reason):
@@ -414,6 +416,11 @@ def test_report_rejects_wrong_shape_reports(tmp_path, capsys, payload, with_base
     assert capsys.readouterr().err.startswith(f"sbp: {report}: not a report")
 
 
+# a key that is not str(n) for an n in range, as `sbp train` writes PCs and indices
+NOT_A_PC = f"is not in [0, {2**64}) in canonical decimal"
+NOT_AN_INDEX = "is not in [0, 4) in canonical decimal"  # gh 4 + lh 0
+
+
 def _model(**changes):
     model = {"bias": 0.5, "weights": {"1": 1.0}, "lambda": 0.01, "accuracy": 1.0,
              "m": 300, "sufficient": True}
@@ -426,9 +433,9 @@ def _model(**changes):
     (_model(bias=True), "model 12288: bias True is not a finite number"),
     (_model(**{"lambda": None}), "model 12288: lambda None is not a finite number"),
     (_model(weights={"1": "0.5"}), "model 12288: weight 1 '0.5' is not a finite number"),
-    (_model(weights={"one": 0.5}), "model 12288: weight index 'one' is not an integer"),
-    (_model(weights={"9": 0.5}), "model 12288: weight index 9 is outside [0, 4)"),
-    (_model(weights={"-1": 0.5}), "model 12288: weight index -1 is outside [0, 4)"),
+    (_model(weights={"one": 0.5}), f"model 12288: weight index 'one' {NOT_AN_INDEX}"),
+    (_model(weights={"9": 0.5}), f"model 12288: weight index '9' {NOT_AN_INDEX}"),
+    (_model(weights={"-1": 0.5}), f"model 12288: weight index '-1' {NOT_AN_INDEX}"),
     (_model(m="x"), "model 12288: m 'x' is not a non-negative integer"),
     (_model(m=-1), "model 12288: m -1 is not a non-negative integer"),
     (_model(m=300.0), "model 12288: m 300.0 is not a non-negative integer"),
@@ -439,13 +446,15 @@ def _model(**changes):
     (_model(converged=None), "model 12288: converged None is not true or false"),
     (_model(weights={"0": 1e39}), "model 12288: weight 0 1e+39 is beyond the float32 range"),
     (_model(bias=-1e39), "model 12288: bias -1e+39 is beyond the float32 range"),
-    (_model(weights={"+1": 0.5}), "model 12288: weight index '+1' is not in ASCII digits"),
-    (_model(weights={" 1": 0.5}), "model 12288: weight index ' 1' is not in ASCII digits"),
-    (_model(weights={"\u0661": 0.5}), "model 12288: weight index '\u0661' is not in ASCII digits"),
-    (_model(weights={"0_1": 0.5}), "model 12288: weight index '0_1' is not in ASCII digits"),
-    (_model(weights={"1_0": 0.5}), "model 12288: weight index 10 is outside [0, 4)"),
-    (_model(weights={"1": 1.0, "01": -1.0}), "model 12288: weight index '01' repeats index 1"),
-    (_model(weights={"03": 1.0, "3": -1.0}), "model 12288: weight index '3' repeats index 3"),
+    (_model(weights={"+1": 0.5}), f"model 12288: weight index '+1' {NOT_AN_INDEX}"),
+    (_model(weights={" 1": 0.5}), f"model 12288: weight index ' 1' {NOT_AN_INDEX}"),
+    (_model(weights={"\u0661": 0.5}), f"model 12288: weight index '\u0661' {NOT_AN_INDEX}"),
+    (_model(weights={"0_1": 0.5}), f"model 12288: weight index '0_1' {NOT_AN_INDEX}"),
+    (_model(weights={"1_0": 0.5}), f"model 12288: weight index '1_0' {NOT_AN_INDEX}"),
+    (_model(weights={"1": 1.0, "01": -1.0}), f"model 12288: weight index '01' {NOT_AN_INDEX}"),
+    (_model(weights={"03": 1.0, "3": -1.0}), f"model 12288: weight index '03' {NOT_AN_INDEX}"),
+    # a JSON integer beyond the float range, which math.isfinite cannot take
+    (_model(bias=10**400), f"model 12288: bias {10**400} is not a finite number"),
 ])
 def test_select_rejects_bad_model_values(tmp_path, capsys, model, message):
     # in fp32, where values beyond the float32 range are bad too; Q3.4 saturates them
@@ -468,11 +477,13 @@ def test_select_names_a_model_key_that_is_not_a_pc(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
                    "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
-    assert capsys.readouterr().err == f"sbp: {models}: model key 'zz' is not an integer\n"
+    assert capsys.readouterr().err == f"sbp: {models}: model key 'zz' {NOT_A_PC}\n"
 
 
-# `sbp train` writes each key as str(pc): ASCII decimal digits below 2**64
-@pytest.mark.parametrize("key", ["-5", "18446744073709551616", "1_2", " 7", "+7", "\u0667"])
+# `sbp train` writes each key as str(pc): ASCII decimal digits below 2**64,
+# without a leading zero; int() would reject 5,000 digits with its own message
+@pytest.mark.parametrize("key", ["-5", "18446744073709551616", "1_2", " 7", "+7", "\u0667", "07",
+                                 pytest.param("9" * 5000, id="5000_digits")])
 def test_select_names_a_model_key_that_no_pc_can_have(tmp_path, capsys, key):
     trace = tmp_path / "loop.sbpt"
     assert run_cli("gen", "--kind", "loop", "--len", 300, "-o", trace) == 0
@@ -481,15 +492,15 @@ def test_select_names_a_model_key_that_no_pc_can_have(tmp_path, capsys, key):
     capsys.readouterr()
     assert run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 0,
                    "--budget-kb", 1, "-o", tmp_path / "h.sbph") == 1
-    assert capsys.readouterr().err == f"sbp: {models}: model key {key!r} is not a 64-bit PC\n"
+    assert capsys.readouterr().err == f"sbp: {models}: model key {key!r} {NOT_A_PC}\n"
     assert not (tmp_path / "h.sbph").exists()
 
 
-# json.loads keeps the last of two keys written alike; two keys for one PC
-# or index would do the same: each is an error naming the key
+# json.loads keeps the last of two keys written alike: each is an error naming
+# the key. A PC or index has one spelling, str(n), so no other key can repeat it
 @pytest.mark.parametrize("models_text, message", [
     ('{"12288": %s, "012288": %s}' % (json.dumps(_model()), json.dumps(_model(bias=-0.5))),
-     "model key '012288' repeats PC 12288"),
+     f"model key '012288' {NOT_A_PC}"),
     ('{"12288": %s, "12288": %s}' % (json.dumps(_model()), json.dumps(_model(bias=-0.5))),
      "key '12288' repeats in one JSON object"),
     ('{"12288": %s}' % json.dumps(_model()).replace('{"1": 1.0}', '{"1": 1.0, "1": -1.0}'),
@@ -507,10 +518,40 @@ def test_select_names_a_key_that_repeats(tmp_path, capsys, models_text, message)
     assert not (tmp_path / "h.sbph").exists()
 
 
+def _bits(model):
+    """A model's fields, each float as its bits: -0.0 is not 0.0, nor 1.0 the integer 1."""
+
+    def bits(v):
+        return float.hex(v) if isinstance(v, float) else v
+
+    return {key: {j: bits(w) for j, w in value.items()} if key == "weights" else bits(value)
+            for key, value in asdict(model).items()}
+
+
+FINITE = st.sampled_from([-0.0, 5e-324, -2.5e-310]) | st.floats(allow_nan=False,
+                                                                  allow_infinity=False)
+
+
+@st.composite
+def sparse_models(draw):
+    """gh, lh and {pc: SparseModel} with any finite values, weights at indices below gh + lh."""
+    gh, lh = draw(st.integers(0, 70)), draw(st.integers(1, 20))
+    pcs = draw(st.lists(st.integers(0, 2**64 - 1), unique=True, max_size=4))
+    return gh, lh, {
+        pc: SparseModel(pc=pc, bias=draw(FINITE),
+                        weights=draw(st.dictionaries(st.integers(0, gh + lh - 1), FINITE,
+                                                     max_size=8)),
+                        lam=draw(FINITE), accuracy=draw(FINITE), m=draw(st.integers(0)),
+                        converged=draw(st.booleans()), sufficient=draw(st.booleans()))
+        for pc in pcs
+    }
+
+
 @pytest.mark.parametrize("which", ["correlated", "loop"])
 def test_models_file_round_trips_train_models(request, tmp_path, which):
     # what `sbp train` writes, `select` reads back as the very models that
-    # train_models returns, field by field and bit for bit
+    # train_models returns, field by field and bit for bit; and so it does
+    # for drawn models with any finite values (Q3.4 takes every one)
     trace = request.getfixturevalue(f"{which}_trace")
     path = tmp_path / "t.sbpt"
     write_trace(trace, path)
@@ -524,7 +565,7 @@ def test_models_file_round_trips_train_models(request, tmp_path, which):
     assert (gh, lh) == (12, 4)
     assert list(models) == list(expect)
     for pc, model in models.items():
-        assert asdict(model) == asdict(expect[pc])
+        assert _bits(model) == _bits(expect[pc])
     # the file's bytes: json.dumps(sort_keys=True) orders weight keys as
     # strings ("10" before "2"), so integer keys would write another order
     payload = {
@@ -535,6 +576,18 @@ def test_models_file_round_trips_train_models(request, tmp_path, which):
     }
     text = json.dumps({"gh": 12, "lh": 4, "models": payload}, sort_keys=True, indent=2)
     assert out.read_text() == text + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=sparse_models())
+    def drawn_models_round_trip(drawn):
+        gh, lh, expect = drawn
+        out.write_text(cli._models_json(gh, lh, expect))
+        got_gh, got_lh, models = cli._load_models_json(out, Q3_4)
+        assert (got_gh, got_lh) == (gh, lh) and models.keys() == expect.keys()
+        for pc, model in models.items():
+            assert _bits(model) == _bits(expect[pc])
+
+    drawn_models_round_trip()
 
 
 @pytest.mark.parametrize("header, message", [
@@ -587,21 +640,37 @@ BAD_SIZES = [
 ]
 
 
-@pytest.mark.parametrize("flag, value, baseline, message", BAD_SIZES)
-@pytest.mark.parametrize("command", ["simulate", "select", "pipeline"])
-def test_impossible_baseline_sizes_rejected_before_reading(tmp_path, capsys, flag, value,
-                                                           baseline, message, command):
-    missing = tmp_path / "missing.sbpt"  # never read: the flag check comes first
-    argv = {
+def _baseline_argv(tmp_path, command):
+    """`command`'s arguments, with input files that do not exist."""
+    missing = tmp_path / "missing.sbpt"
+    return {
         "simulate": ["simulate", "--trace", missing],
         "select": ["select", "--models", tmp_path / "none.json", "--trace", missing,
                    "--budget-kb", 1, "-o", tmp_path / "h.sbph"],
         "pipeline": ["pipeline", "--traces", missing, "--budget-kb", 1,
                      "--out-dir", tmp_path / "out"],
     }[command]
+
+
+@pytest.mark.parametrize("flag, value, baseline, message", BAD_SIZES)
+@pytest.mark.parametrize("command", ["simulate", "select", "pipeline"])
+def test_impossible_baseline_sizes_rejected_before_reading(tmp_path, capsys, flag, value,
+                                                           baseline, message, command):
+    # the inputs are never read: the flag check comes first
     capsys.readouterr()
-    assert run_cli(*argv, "--baseline", baseline, flag, value) == 2
+    assert run_cli(*_baseline_argv(tmp_path, command), "--baseline", baseline, flag, value) == 2
     assert capsys.readouterr().err == f"sbp: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "select", "pipeline"])
+def test_tage_history_beyond_gh_rejected_before_reading(tmp_path, capsys, command):
+    # TAGE-lite's default history lengths run 4 to 32 bits of the shared GHR;
+    # the configuration is checked before any input is read or output made
+    capsys.readouterr()
+    assert run_cli(*_baseline_argv(tmp_path, command), "--baseline", "tage-lite",
+                   "--gh", 16) == 2
+    assert capsys.readouterr().err == "sbp: TAGE-lite history lengths reach 32, beyond gh 16\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_baseline_size_limits_accepted(tmp_path, capsys):
@@ -630,7 +699,8 @@ def test_negative_noise_branches_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mpki", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("mpki", ["NaN", "Infinity", "-Infinity",
+                                  pytest.param(str(10**400), id="10**400")])
 @pytest.mark.parametrize("with_baselines", [False, True])
 def test_report_rejects_non_finite_mpki(tmp_path, capsys, mpki, with_baselines):
     report = tmp_path / "r.json"
@@ -833,3 +903,56 @@ def test_commands_survive_mutated_traces_and_bad_flags(fuzz_trace, data):
     assert rc in (0, 1, 2)
     assert rc == 0 or err.getvalue().startswith("sbp: ")
     assert flag is None and usage is None or rc == 2
+
+
+# JSON values: scalars, the edges of the float range and an integer beyond
+# it, and small arrays and objects of scalars
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = (
+    st.sampled_from([1.7976931348623157e308, -1e308, 5e-324, 2**64, -(10**400)])
+    | JSON_SCALARS
+    | st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+)
+
+
+def _key_paths(node, path=()):
+    """The path of every key in the JSON objects of a document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_select_survives_mutated_models_files(fuzz_trace, data):
+    """A truncated or bit-flipped models file, or one with a field (the
+    header's, a model, a model's field or a weight) replaced by a drawn JSON
+    value, ends `select` in exit 0, or in 1 or 2 with an `sbp:` message:
+    never in an exception."""
+    trace, original = fuzz_trace[0], fuzz_trace[1].read_bytes()
+    if data.draw(st.sampled_from(["replace", "cut or flip"]), label="mutation") == "replace":
+        doc = json.loads(original)
+        *parents, key = data.draw(st.sampled_from(list(_key_paths(doc))), label="path")
+        functools.reduce(dict.__getitem__, parents, doc)[key] = data.draw(JSON_VALUES,
+                                                                        label="value")
+        mutated = bytearray(json.dumps(doc).encode())
+    else:
+        size = data.draw(st.just(len(original)) | st.integers(0, len(original)), label="size")
+        mutated = bytearray(original[:size])
+        flips = data.draw(st.lists(st.integers(0, 8 * len(original) - 1), max_size=3),
+                          label="flips")
+        for bit in flips:
+            if bit < 8 * len(mutated):
+                mutated[bit // 8] ^= 1 << (bit % 8)
+    q = data.draw(st.sampled_from(["3.4", "3.12", "fp32"]), label="q")
+    with tempfile.TemporaryDirectory() as tmp:
+        models = Path(tmp) / "models.json"
+        models.write_bytes(bytes(mutated))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run_cli("select", "--models", models, "--trace", trace, "--gh", 4, "--lh", 2,
+                         "--q", q, "--budget-kb", 1, "-o", Path(tmp) / "h.sbph")
+    assert rc in (0, 1, 2)
+    assert rc == 0 or err.getvalue().startswith("sbp: ")

@@ -62,6 +62,8 @@ def test_quantize_value_examples():
     assert quantize_value(-100.0, Q3_4) == -8.0  # saturates low
     assert quantize_value(0.03125, Q3_4) == 0.0625  # tie rounds away from zero
     assert quantize_value(-0.03125, Q3_4) == -0.0625
+    assert quantize_value(1e308, Q3_4) == 7.9375  # 1e308 * 16 is inf: no int to round to
+    assert quantize_value(-1e308, Q3_4) == -8.0
 
 
 def test_quantize_value_fp32_is_the_nearest_float32():
